@@ -19,7 +19,6 @@ from .analytic import (
     renewal_aoi,
     ts_equivalent_rho,
     uplink_service_moments,
-    uplink_tx_count_moments,
     weighted_sum_aoi,
 )
 from .model import (
@@ -90,7 +89,6 @@ __all__ = [
     "ts_equivalent_rho",
     "uplink_energy_threshold",
     "uplink_service_moments",
-    "uplink_tx_count_moments",
     "weighted_sum_aoi",
     "__version__",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "avg_downlink_aoi",
     "harvest_slot_pmf",
     "harvest_slot_moments",
-    "uplink_tx_count_moments",
     "uplink_service_moments",
     "avg_uplink_aoi",
     "weighted_sum_aoi",
@@ -103,11 +102,7 @@ def avg_downlink_aoi(dl_load: float) -> float:
     if math.isinf(dl_load):
         return math.inf
     x = dl_load
-    aoi = 1.0 + x + (x * x + 4.0 * x + 2.0) / (2.0 * (1.0 + x))
-    # same algebra as the renewal composition; guard against drift between the two
-    assert math.isclose(aoi, renewal_aoi(downlink_service_moments(x)),
-                        rel_tol=1e-9)
-    return aoi
+    return 1.0 + x + (x * x + 4.0 * x + 2.0) / (2.0 * (1.0 + x))
 
 
 def harvest_slot_pmf(eta: float, j: int) -> float:
@@ -134,25 +129,16 @@ def harvest_slot_moments(eta: float) -> MomentPair:
     return MomentPair(mu + tail, mu * mu + mu + tail)
 
 
-def uplink_tx_count_moments(ul_load: float) -> MomentPair:
-    """Moments of the number of uplink transmit blocks per packet.
-
-    Same shifted-Poisson family as the downlink, with the uplink load.
-    """
-    if ul_load < 0:
-        raise ValueError(f"ul_load must be >= 0, got {ul_load!r}")
-    x = ul_load
-    return MomentPair(1.0 + x, x * x + 3.0 * x + 1.0)
-
-
 def uplink_service_moments(ul_load: float, eta: float) -> MomentPair:
     """Moments of the compound uplink service S_U = sum of S harvest slots.
 
-    E(S_U) = E(S) E(s);  E(S_U^2) = E(S) E(s^2) + E(S^2 - S) E(s)^2.
+    The count S of transmit blocks per packet is the downlink's shifted
+    Poisson with the uplink load. E(S_U) = E(S) E(s);
+    E(S_U^2) = E(S) E(s^2) + E(S^2 - S) E(s)^2.
     """
     if math.isinf(ul_load):
         return MomentPair(math.inf, math.inf)
-    count = uplink_tx_count_moments(ul_load)
+    count = downlink_service_moments(ul_load)
     slot = harvest_slot_moments(eta)
     m1 = count.m1 * slot.m1
     m2 = count.m1 * slot.m2 + (count.m2 - count.m1) * slot.m1 ** 2
@@ -172,10 +158,8 @@ def avg_uplink_aoi(ul_load: float, eta: float, form: str = "renewal") -> float:
         return math.inf
     if form == "renewal":
         return renewal_aoi(uplink_service_moments(ul_load, eta))
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta!r}")
     count_mean = 1.0 + ul_load
-    a = 1.0 / eta + math.exp(-1.0 / eta)
+    a = harvest_slot_moments(eta).m1   # validates eta
     return (1.5 * count_mean * a
             + 0.5
             + 0.5 / (eta + eta * eta * math.exp(-1.0 / eta))

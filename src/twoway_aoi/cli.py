@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from . import __version__
 from .analytic import (
@@ -25,18 +25,46 @@ from .analytic import (
     ts_equivalent_rho,
     weighted_sum_aoi,
 )
-from .model import SystemParams, derive_constants
+from .model import SNR_MODES, SystemParams, derive_constants
 from .optimizer import OptOptions, sweep_w
-from .simulator import SimConfig, run_power_splitting, run_time_splitting
+from .simulator import SCHEMES, SimConfig, run_power_splitting, run_time_splitting
 
 __all__ = ["main", "RunSpec", "build_parser", "load_config"]
 
-_PARAM_KEYS = [f.name for f in fields(SystemParams)]
-_FLOAT_KEYS = set(_PARAM_KEYS) | {"gen_prob", "tol", "boundary_eps", "rho_init"}
-_INT_KEYS = {"num_blocks", "seed", "warmup_blocks", "replications", "max_iters"}
-_STR_KEYS = {"snr_mode", "scheme"}
-_GRID_KEYS = {"rho_grid", "w_grid", "p_grid"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _GRID_KEYS
+
+def _grid(raw: str) -> tuple[float, ...]:
+    values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    if not values:
+        raise ValueError("empty grid")
+    return values
+
+
+def _field_keys(cls, skip=()) -> dict:
+    """key -> (parser of one raw value, default) for each field of ``cls``.
+
+    The parser follows the annotation, a string such as "int | None" under
+    postponed evaluation.
+    """
+    parsers = {"float": float, "int": int, "str": str}
+    return {f.name: (parsers[f.type.partition(" ")[0]],
+                     None if f.default is MISSING else f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
+_PARAM_KEYS = _field_keys(SystemParams)
+_OPT_KEYS = _field_keys(OptOptions)
+# Every config key and flag, in header order, with its parser and default.
+# The simulation keys are SimConfig's fields (the horizon gets a CLI
+# default; the trace dump stays a library feature).
+_KEYS = {
+    **_PARAM_KEYS,
+    "rho_grid": (_grid, (0.5,)),
+    "w_grid": (_grid, (0.5,)),
+    "p_grid": (_grid, (0.01,)),
+    **_field_keys(SimConfig, skip={"trace_path"}),
+    "num_blocks": (int, 1_000_000),
+    **_OPT_KEYS,
+}
 
 
 @dataclass(frozen=True)
@@ -59,29 +87,11 @@ class RunSpec:
     output: str | None
 
 
-class _ValidationError(ValueError):
-    pass
-
-
-def _parse_scalar(key: str, raw: str):
+def _parse(key: str, raw: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return _KEYS[key][0](raw)
     except ValueError:
-        raise _ValidationError(f"invalid value for {key}: {raw!r}") from None
-    return raw
-
-
-def _parse_grid(key: str, raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise _ValidationError(f"invalid value for {key}: {raw!r}") from None
-    if not values:
-        raise _ValidationError(f"{key} must contain at least one value")
-    return values
+        raise ValueError(f"invalid value for {key}: {raw!r}") from None
 
 
 def load_config(path: str) -> dict:
@@ -93,12 +103,12 @@ def load_config(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise _ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in _ALL_KEYS:
-                raise _ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            merged[key] = _parse_grid(key, raw) if key in _GRID_KEYS else _parse_scalar(key, raw)
+            if key not in _KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            merged[key] = _parse(key, raw)
     return merged
 
 
@@ -118,77 +128,28 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="flat key = value config file")
         cmd.add_argument("--output", help="CSV output path (default: stdout)")
-        for key in _PARAM_KEYS:
-            cmd.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-        for key in sorted(_GRID_KEYS):
+        # values stay strings here: _parse checks flags and config lines alike
+        for key, (parse, _) in _KEYS.items():
             cmd.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                             help="comma-separated values")
-        cmd.add_argument("--num-blocks", type=int, dest="num_blocks")
-        cmd.add_argument("--seed", type=int, dest="seed")
-        cmd.add_argument("--warmup-blocks", type=int, dest="warmup_blocks")
-        cmd.add_argument("--snr-mode", choices=("exact", "linear"), dest="snr_mode")
-        cmd.add_argument("--replications", type=int, dest="replications")
-        cmd.add_argument("--scheme", choices=("power_split", "time_split"), dest="scheme")
-        cmd.add_argument("--gen-prob", type=float, dest="gen_prob")
-        cmd.add_argument("--rho-init", type=float, dest="rho_init")
-        cmd.add_argument("--max-iters", type=int, dest="max_iters")
-        cmd.add_argument("--tol", type=float, dest="tol")
-        cmd.add_argument("--boundary-eps", type=float, dest="boundary_eps")
+                             help="comma-separated values" if parse is _grid else None)
     return parser
 
 
-_DEFAULTS = {
-    "rho_grid": (0.5,),
-    "w_grid": (0.5,),
-    "p_grid": (0.01,),
-    "num_blocks": 1_000_000,
-    "seed": 0,
-    "warmup_blocks": None,
-    "snr_mode": "linear",
-    "replications": 1,
-    "scheme": "power_split",
-    "gen_prob": None,
-    "rho_init": 0.5,
-    "max_iters": 100,
-    "tol": 1e-12,
-    "boundary_eps": 1e-4,
-}
-
-
 def merge_spec(args: argparse.Namespace) -> RunSpec:
-    merged = dict(_DEFAULTS)
-    merged.update({k: None for k in _PARAM_KEYS})
+    merged = {key: default for key, (_, default) in _KEYS.items()}
     if args.config:
         merged.update(load_config(args.config))
-    for key in _ALL_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = _parse_grid(key, flag_value) if key in _GRID_KEYS and isinstance(flag_value, str) else flag_value
-
-    param_overrides = {k: merged[k] for k in _PARAM_KEYS if merged[k] is not None}
-    params = SystemParams(**param_overrides)
-    opt = OptOptions(rho_init=merged["rho_init"], max_iters=merged["max_iters"],
-                     tol=merged["tol"], boundary_eps=merged["boundary_eps"])
-    num_blocks = merged["num_blocks"]
-    warmup = merged["warmup_blocks"]
-    if warmup is None:
-        warmup = num_blocks // 100
-    return RunSpec(
-        command=args.command,
-        params=params,
-        rho_grid=tuple(merged["rho_grid"]),
-        w_grid=tuple(merged["w_grid"]),
-        p_grid=tuple(merged["p_grid"]),
-        num_blocks=num_blocks,
-        seed=merged["seed"],
-        warmup_blocks=warmup,
-        snr_mode=merged["snr_mode"],
-        replications=merged["replications"],
-        scheme=merged["scheme"],
-        gen_prob=merged["gen_prob"],
-        opt=opt,
-        output=args.output,
-    )
+    for key in _KEYS:
+        if getattr(args, key) is not None:
+            merged[key] = _parse(key, getattr(args, key))
+    for key, allowed in (("scheme", SCHEMES), ("snr_mode", SNR_MODES)):
+        if merged[key] not in allowed:
+            raise ValueError(f"{key} must be one of {allowed}, got {merged[key]!r}")
+    params = SystemParams(**{key: merged.pop(key) for key in _PARAM_KEYS})
+    opt = OptOptions(**{key: merged.pop(key) for key in _OPT_KEYS})
+    merged["warmup_blocks"] = SimConfig(
+        num_blocks=merged["num_blocks"], warmup_blocks=merged["warmup_blocks"]).resolved_warmup()
+    return RunSpec(command=args.command, params=params, opt=opt, output=args.output, **merged)
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +164,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _text(value) -> str:
+    """A config value as the header writes it and the config parser reads it back."""
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
 def _spec_header(spec: RunSpec) -> list[str]:
-    lines = [f"## twoway-aoi {__version__}", f"## command: {spec.command}"]
-    for key in _PARAM_KEYS:
-        lines.append(f"# {key} = {getattr(spec.params, key)!r}")
-    for key, grid in [("rho_grid", spec.rho_grid), ("w_grid", spec.w_grid),
-                      ("p_grid", spec.p_grid)]:
-        lines.append(f"# {key} = {','.join(repr(v) for v in grid)}")
-    lines.append(f"# num_blocks = {spec.num_blocks}")
-    lines.append(f"# seed = {spec.seed}")
-    lines.append(f"# warmup_blocks = {spec.warmup_blocks}")
-    lines.append(f"# snr_mode = {spec.snr_mode}")
-    lines.append(f"# replications = {spec.replications}")
-    lines.append(f"# scheme = {spec.scheme}")
-    if spec.gen_prob is not None:
-        lines.append(f"# gen_prob = {spec.gen_prob!r}")
-    lines.append(f"# rho_init = {spec.opt.rho_init!r}")
-    lines.append(f"# max_iters = {spec.opt.max_iters}")
-    lines.append(f"# tol = {spec.opt.tol!r}")
-    lines.append(f"# boundary_eps = {spec.opt.boundary_eps!r}")
-    return lines
+    values = {**vars(spec), **vars(spec.params), **vars(spec.opt)}
+    return [f"## twoway-aoi {__version__}", f"## command: {spec.command}"] + [
+        f"# {key} = {_text(values[key])}" for key in _KEYS if values[key] is not None]
 
 
 def _emit(spec: RunSpec, columns: list[str], rows: list[list]) -> None:
@@ -234,15 +186,8 @@ def _emit(spec: RunSpec, columns: list[str], rows: list[list]) -> None:
     if spec.output is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(spec.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _IoError(str(exc)) from exc
-
-
-class _IoError(Exception):
-    pass
+        with open(spec.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _hist_cell(hist: dict[int, int]) -> str:
@@ -325,8 +270,6 @@ def _sim_rows(spec: RunSpec, report) -> list[list]:
 
 def cmd_simulate(spec: RunSpec) -> int:
     if spec.scheme == "time_split":
-        if spec.gen_prob is None:
-            raise _ValidationError("gen_prob is required when scheme = time_split")
         report = run_time_splitting(
             spec.params, spec.gen_prob, _sim_config(spec, "time_split", spec.gen_prob))
     else:
@@ -367,13 +310,10 @@ def main(argv=None) -> int:
     try:
         spec = merge_spec(args)
         return _COMMANDS[args.command](spec)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (_ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

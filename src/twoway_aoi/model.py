@@ -80,13 +80,18 @@ class SystemParams:
             raise ValueError(f"weight_uplink must be in [0, 1], got {self.weight_uplink!r}")
 
     @property
+    def _d_alpha(self) -> float:
+        """Path loss d**alpha; every formula here takes it from this one expression."""
+        return self.distance ** self.pathloss_exp
+
+    @property
     def theta(self) -> float:
         """Dimensionless base load: lambda * l * N0 * d**alpha / (P_t * T_B)."""
         return (
             self.channel_rate
             * self.packet_nats
             * self.noise_density
-            * self.distance ** self.pathloss_exp
+            * self._d_alpha
             / (self.total_power * self.block_len)
         )
 
@@ -113,7 +118,7 @@ def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
         raise ValueError(f"rho must be in [0, 1], got {rho!r}")
     theta = params.theta
     dl_load = math.inf if rho == 1.0 else theta / (1.0 - rho)
-    y = params.channel_rate * theta * params.distance ** params.pathloss_exp
+    y = params.channel_rate * theta * params._d_alpha
     ul_load = math.inf if rho == 0.0 else y / rho
     eta = params.harvest_eff
     harvest_factor = 1.0 / eta + math.exp(-1.0 / eta)
@@ -121,30 +126,30 @@ def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
                         harvest_factor=harvest_factor)
 
 
-def _check_mode(mode: str):
-    if mode not in SNR_MODES:
-        raise ValueError(f"mode must be one of {SNR_MODES}, got {mode!r}")
-
-
-def per_block_downlink_nats(params: SystemParams, rho: float, gain, mode: str = "linear"):
-    """Nats deliverable over the downlink in one block with power gain ``gain``.
+def _per_block_nats(params: SystemParams, power: float, gain, mode: str):
+    """Nats one block carries at transmit ``power`` over a link of power gain ``gain``.
 
     ``exact`` evaluates the log capacity expression; ``linear`` is its
     low-SNR first-order form (always an upper bound). Accepts scalars or
     numpy arrays of gains.
     """
-    _check_mode(mode)
+    if mode not in SNR_MODES:
+        raise ValueError(f"mode must be one of {SNR_MODES}, got {mode!r}")
     gain = np.asarray(gain, dtype=float)
     if np.any(gain < 0):
         raise ValueError("gain must be >= 0")
-    d_alpha = params.distance ** params.pathloss_exp
-    scale = (1.0 - rho) * params.total_power / (d_alpha * params.noise_density)
+    scale = power / (params._d_alpha * params.noise_density)
     if mode == "linear":
         out = params.block_len * scale * gain
     else:
         out = params.block_len * params.bandwidth * np.log1p(
             scale * gain / params.bandwidth)
     return out if out.ndim else float(out)
+
+
+def per_block_downlink_nats(params: SystemParams, rho: float, gain, mode: str = "linear"):
+    """Nats deliverable over the downlink in one block with power gain ``gain``."""
+    return _per_block_nats(params, (1.0 - rho) * params.total_power, gain, mode)
 
 
 def per_block_uplink_nats(params: SystemParams, rho: float, gain, mode: str = "linear"):
@@ -154,19 +159,8 @@ def per_block_uplink_nats(params: SystemParams, rho: float, gain, mode: str = "l
     transfer, rho * P_t / (lambda * d**alpha), and the signal crosses the
     path loss once more on the way back.
     """
-    _check_mode(mode)
-    gain = np.asarray(gain, dtype=float)
-    if np.any(gain < 0):
-        raise ValueError("gain must be >= 0")
-    d_alpha = params.distance ** params.pathloss_exp
-    p_u = rho * params.total_power / (params.channel_rate * d_alpha)
-    scale = p_u / (d_alpha * params.noise_density)
-    if mode == "linear":
-        out = params.block_len * scale * gain
-    else:
-        out = params.block_len * params.bandwidth * np.log1p(
-            scale * gain / params.bandwidth)
-    return out if out.ndim else float(out)
+    p_u = rho * params.total_power / (params.channel_rate * params._d_alpha)
+    return _per_block_nats(params, p_u, gain, mode)
 
 
 def harvested_energy(params: SystemParams, rho: float, gain):
@@ -175,11 +169,14 @@ def harvested_energy(params: SystemParams, rho: float, gain):
     if np.any(gain < 0):
         raise ValueError("gain must be >= 0")
     out = (params.harvest_eff * rho * params.total_power * params.block_len
-           * gain / params.distance ** params.pathloss_exp)
+           * gain / params._d_alpha)
     return out if out.ndim else float(out)
 
 
 def uplink_energy_threshold(params: SystemParams, rho: float) -> float:
-    """Energy the device must bank per uplink transmit block: P_u * T_B."""
-    d_alpha = params.distance ** params.pathloss_exp
-    return rho * params.total_power * params.block_len / (params.channel_rate * d_alpha)
+    """Energy the device must bank per uplink transmit block: P_u * T_B.
+
+    Multiplied out rather than taken as the uplink's P_u times T_B: that
+    rounding order shifts the printed banked-energy digits.
+    """
+    return rho * params.total_power * params.block_len / (params.channel_rate * params._d_alpha)

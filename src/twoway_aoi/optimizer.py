@@ -74,6 +74,16 @@ class SweepPoint:
     result: OptResult
 
 
+def _constants(params: SystemParams, rho: float, w: float):
+    """(theta, a, y) of the derivative formulas, with y = lambda theta d^alpha."""
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"rho must be in (0, 1), got {rho!r}")
+    if not (0.0 <= w <= 1.0):
+        raise ValueError(f"w must be in [0, 1], got {w!r}")
+    loads = derive_constants(params, 1.0)   # the uplink load y / rho is y itself at rho = 1
+    return loads.theta, loads.harvest_factor, loads.ul_load
+
+
 def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
     """Derivative of the weighted-sum average age with respect to rho.
 
@@ -81,14 +91,7 @@ def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
     Uplink part:   -w a lambda theta d^alpha [3 / (2 rho^2) + 1 / (2 (rho + lambda theta d^alpha)^2)]
     with a = 1/eta + exp(-1/eta).
     """
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must be in (0, 1), got {rho!r}")
-    if not (0.0 <= w <= 1.0):
-        raise ValueError(f"w must be in [0, 1], got {w!r}")
-    loads = derive_constants(params, rho)
-    theta = loads.theta
-    a = loads.harvest_factor
-    y = params.channel_rate * theta * params.distance ** params.pathloss_exp
+    theta, a, y = _constants(params, rho, w)
     down = 1.5 * theta / (1.0 - rho) ** 2 + 0.5 * theta / (1.0 + theta - rho) ** 2
     up = -1.5 * a * y / rho ** 2 - 0.5 * a * y / (rho + y) ** 2
     return (1.0 - w) * down + w * up
@@ -96,14 +99,7 @@ def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
 
 def aoi_second_derivative(params: SystemParams, rho: float, w: float) -> float:
     """Second derivative of the objective; strictly positive on (0, 1)."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must be in (0, 1), got {rho!r}")
-    if not (0.0 <= w <= 1.0):
-        raise ValueError(f"w must be in [0, 1], got {w!r}")
-    loads = derive_constants(params, rho)
-    theta = loads.theta
-    a = loads.harvest_factor
-    y = params.channel_rate * theta * params.distance ** params.pathloss_exp
+    theta, a, y = _constants(params, rho, w)
     down = 3.0 * theta / (1.0 - rho) ** 3 + theta / (1.0 + theta - rho) ** 3
     up = a * y * (3.0 / rho ** 3 + 1.0 / (rho + y) ** 3)
     return (1.0 - w) * down + w * up
@@ -113,7 +109,7 @@ def _objective(params: SystemParams, rho: float, w: float) -> float:
     return weighted_sum_aoi(params, rho, w).weighted
 
 
-def _bisect(params, w, lo, hi, g_lo, g_hi, opts, trace, iterations):
+def _bisect(params, w, lo, hi, opts, trace, iterations):
     """Bisection on the gradient sign; requires g(lo) < 0 < g(hi)."""
     budget = max(_BISECTION_BUDGET, opts.max_iters)
     for _ in range(budget):
@@ -191,7 +187,7 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         if method == "bisection":
             # re-bracket around the best iterate using the global bracket
             rho, iterations, converged = _bisect(
-                params, w, lo, hi, g_lo, g_hi, opts, trace, iterations)
+                params, w, lo, hi, opts, trace, iterations)
             obj = _objective(params, rho, w)
             converged = converged and (
                 abs(aoi_gradient(params, rho, w)) <= _GRAD_REL_TOL * grad_scale)

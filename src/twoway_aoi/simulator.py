@@ -35,6 +35,7 @@ import numpy as np
 
 from .analytic import ts_equivalent_rho
 from .model import (
+    SNR_MODES,
     SystemParams,
     harvested_energy,
     per_block_downlink_nats,
@@ -102,8 +103,8 @@ class SimConfig:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
-        if self.snr_mode not in ("exact", "linear"):
-            raise ValueError(f"snr_mode must be 'exact' or 'linear', got {self.snr_mode!r}")
+        if self.snr_mode not in SNR_MODES:
+            raise ValueError(f"snr_mode must be one of {SNR_MODES}, got {self.snr_mode!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         w = self.resolved_warmup()
@@ -158,8 +159,8 @@ class SimReport:
 # path machinery
 
 
-def _walk_packets(cum_nats: np.ndarray, packet_nats: float) -> np.ndarray:
-    """Zero-wait packet completions over a stream of per-slot nats.
+def _walk_packets(cum_nats: np.ndarray, packet_nats: float, limit: int) -> np.ndarray:
+    """Zero-wait completions of at most ``limit`` packets over per-slot nats.
 
     Returns the 0-based slot indices at which successive packets finish.
     Each packet starts at the slot after its predecessor's completion with
@@ -170,9 +171,8 @@ def _walk_packets(cum_nats: np.ndarray, packet_nats: float) -> np.ndarray:
     completions = []
     start = 0
     anchor = 0.0
-    while start < n:
-        j = int(np.searchsorted(cum_nats, anchor + packet_nats, side="left"))
-        j = max(j, start)
+    for _ in range(limit):
+        j = max(int(np.searchsorted(cum_nats, anchor + packet_nats, side="left")), start)
         if j >= n:
             break
         completions.append(j)
@@ -308,7 +308,7 @@ def _transmit_schedule(energy_cum: np.ndarray, threshold: float):
         spent = threshold * np.arange(1, len(tx) + 1)
         avail = energy_cum[tx - 2]  # buffer at block start, harvests through tx-1
         if not np.all(avail - spent >= -1e-9 * threshold):
-            raise AssertionError("uplink transmit schedule violates energy causality")
+            raise ArithmeticError("uplink transmit schedule violates energy causality")
     return tx, gaps
 
 
@@ -316,19 +316,9 @@ def _transmit_schedule(energy_cum: np.ndarray, threshold: float):
 # per-replication engines
 
 
-def _downlink_deliveries(cum_nats, packet_nats):
-    """(completion blocks 1-based, service times) under the zero-wait policy."""
-    comp = _walk_packets(cum_nats, packet_nats)
-    blocks = comp + 1
-    gen = np.concatenate(([0], blocks[:-1]))
-    return blocks, blocks - gen
-
-
-def _uplink_deliveries(tx_blocks, cum_tx_nats, packet_nats):
-    comp = _walk_packets(cum_tx_nats, packet_nats)
-    blocks = tx_blocks[comp]
-    gen = np.concatenate(([0], blocks[:-1]))
-    return blocks, blocks - gen
+def _deliveries(blocks):
+    """(completion blocks, service times) of zero-wait packets completing at ``blocks``."""
+    return blocks, np.diff(blocks, prepend=0)
 
 
 def _hist(values, lo=1) -> dict[int, int]:
@@ -339,67 +329,38 @@ def _hist(values, lo=1) -> dict[int, int]:
     return {int(j): int(counts[j]) for j in range(lo, len(counts)) if counts[j]}
 
 
-def _window_stats(blocks, services, warmup, horizon):
-    """Deliveries, age-path resets, and service histogram inside the window."""
-    resets = blocks + 1
-    values = services + 1
+def _window_stats(blocks, system, services, warmup, horizon):
+    """Deliveries, age sum and service histogram inside the window.
+
+    ``system`` is each packet's time from generation to delivery (the age
+    right after the reset); under zero wait it equals the service time.
+    """
     in_win = (blocks > warmup) & (blocks <= horizon)
     count = int(in_win.sum())
-    age_sum = _age_sum(resets, values, warmup, horizon)
+    age_sum = _age_sum(blocks + 1, system + 1, warmup, horizon)
     return count, age_sum, _hist(services[in_win])
 
 
 def _ps_replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     n = cfg.num_blocks
-    warmup = cfg.resolved_warmup()
     lam = params.channel_rate
 
     dl_gain = sample_gain(make_stream(cfg.seed, rep, "dl_gain"), lam, n)
     dl_cum = np.cumsum(per_block_downlink_nats(params, rho, dl_gain, cfg.snr_mode))
     del dl_gain
-    dl_blocks, dl_services = _downlink_deliveries(dl_cum, params.packet_nats)
+    dl_blocks, dl_services = _deliveries(_walk_packets(dl_cum, params.packet_nats, n) + 1)
     del dl_cum
 
     hv_gain = sample_gain(make_stream(cfg.seed, rep, "harvest_gain"), lam, n)
     energy_cum = np.cumsum(harvested_energy(params, rho, hv_gain))
     del hv_gain
-    threshold = uplink_energy_threshold(params, rho)
-    tx, slot_gaps = _transmit_schedule(energy_cum, threshold)
-    final_buffer = float(energy_cum[-1]) - threshold * len(tx)
-
-    ul_gain = sample_gain(make_stream(cfg.seed, rep, "ul_gain"), lam, len(tx))
-    ul_cum = np.cumsum(per_block_uplink_nats(params, rho, ul_gain, cfg.snr_mode))
-    del ul_gain
-    ul_blocks, ul_services = _uplink_deliveries(tx, ul_cum, params.packet_nats)
-    del ul_cum
-
-    dl_count, dl_age_sum, dl_hist = _window_stats(dl_blocks, dl_services, warmup, n)
-    ul_count, ul_age_sum, ul_hist = _window_stats(ul_blocks, ul_services, warmup, n)
-    slot_hist = _hist(slot_gaps[(tx[1:] > warmup) & (tx[1:] <= n)]) if len(tx) > 1 else {}
-
-    span = n - warmup
-    stats = ReplicationStats(
-        mean_dl_aoi=dl_age_sum / span,
-        mean_ul_aoi=ul_age_sum / span,
-        dl_rate=dl_count / span,
-        ul_rate=ul_count / span,
-        dl_packets=dl_count,
-        ul_packets=ul_count,
-        final_buffer_joules=final_buffer,
-        energy_block_fraction=1.0,
-    )
-    trace = None
-    if cfg.trace_path is not None and rep == 0:
-        trace = _trace_frame(n, dl_blocks, dl_services, ul_blocks, ul_services,
-                             tx, energy_cum, threshold, None)
-    return stats, dl_hist, ul_hist, slot_hist, trace
+    return _uplink_and_summary(params, rho, cfg, rep, energy_cum,
+                               (dl_blocks, dl_services, dl_services), None)
 
 
 def _ts_replication(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int):
     n = cfg.num_blocks
-    warmup = cfg.resolved_warmup()
     lam = params.channel_rate
-    rho_ts = ts_equivalent_rho(gen_prob, params.theta)
 
     u = make_stream(cfg.seed, rep, "packet_gen").random(n)
     arrivals = np.flatnonzero(u < gen_prob).astype(np.int64) + 1  # block index
@@ -409,8 +370,15 @@ def _ts_replication(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: 
     # full transmit power on data blocks: zero energy fraction
     data_cum = np.cumsum(per_block_downlink_nats(params, 0.0, dl_gain, cfg.snr_mode))
     del dl_gain
-    services = _ts_services(data_cum, params.packet_nats, len(arrivals))
+    # data blocks each packet occupies, in FCFS slot order
+    comp = _walk_packets(data_cum, params.packet_nats, len(arrivals))
     del data_cum
+    services = np.diff(comp, prepend=-1)
+    if len(comp) < len(arrivals) and services.sum() < n:
+        # data slots are left but the next packet cannot finish within them: keep
+        # the access point busy to the end but never deliver (sentinel longer
+        # than any window)
+        services = np.append(services, n)
     arrivals = arrivals[: len(services)]
 
     # FCFS queue recursion: done_k = max(arr_k - 1, done_{k-1}) + S_k
@@ -426,67 +394,12 @@ def _ts_replication(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: 
     harvest[busy] = 0.0
     energy_cum = np.cumsum(harvest)
     del harvest
-    threshold = uplink_energy_threshold(params, rho_ts)
-    tx, slot_gaps = _transmit_schedule(energy_cum, threshold)
-    final_buffer = float(energy_cum[-1]) - threshold * len(tx)
-
-    ul_gain = sample_gain(make_stream(cfg.seed, rep, "ul_gain"), lam, len(tx))
-    ul_cum = np.cumsum(per_block_uplink_nats(params, rho_ts, ul_gain, cfg.snr_mode))
-    del ul_gain
-    ul_blocks, ul_services = _uplink_deliveries(tx, ul_cum, params.packet_nats)
-    del ul_cum
 
     delivered = done <= n
     dl_blocks = done[delivered]
-    dl_gen = arrivals[delivered] - 1
-    dl_system = dl_blocks - dl_gen
-    in_win = (dl_blocks > warmup) & (dl_blocks <= n)
-    dl_count = int(in_win.sum())
-    dl_age_sum = _age_sum(dl_blocks + 1, dl_system + 1, warmup, n)
-    dl_hist = _hist(services[delivered][in_win])
-
-    ul_count, ul_age_sum, ul_hist = _window_stats(ul_blocks, ul_services, warmup, n)
-    slot_hist = _hist(slot_gaps[(tx[1:] > warmup) & (tx[1:] <= n)]) if len(tx) > 1 else {}
-
-    span = n - warmup
-    window = busy[warmup:]
-    stats = ReplicationStats(
-        mean_dl_aoi=dl_age_sum / span,
-        mean_ul_aoi=ul_age_sum / span,
-        dl_rate=dl_count / span,
-        ul_rate=ul_count / span,
-        dl_packets=dl_count,
-        ul_packets=ul_count,
-        final_buffer_joules=final_buffer,
-        energy_block_fraction=float((~window).sum() / span),
-    )
-    trace = None
-    if cfg.trace_path is not None and rep == 0:
-        trace = _trace_frame(n, dl_blocks, dl_system, ul_blocks, ul_services,
-                             tx, energy_cum, threshold, busy)
-    return stats, dl_hist, ul_hist, slot_hist, trace
-
-
-def _ts_services(data_cum, packet_nats, max_packets):
-    """Per-packet data-block counts, one per arrival, in FCFS slot order."""
-    n = len(data_cum)
-    services = []
-    start = 0
-    anchor = 0.0
-    for _ in range(max_packets):
-        if start >= n:
-            break
-        j = int(np.searchsorted(data_cum, anchor + packet_nats, side="left"))
-        j = max(j, start)
-        if j >= n:
-            # cannot finish within the horizon: keep the access point busy to
-            # the end but never deliver (sentinel longer than any window)
-            services.append(n)
-            break
-        services.append(j - start + 1)
-        anchor = float(data_cum[j])
-        start = j + 1
-    return np.asarray(services, dtype=np.int64)
+    dl = (dl_blocks, dl_blocks - (arrivals[delivered] - 1), services[delivered])
+    return _uplink_and_summary(params, ts_equivalent_rho(gen_prob, params.theta), cfg, rep,
+                               energy_cum, dl, busy)
 
 
 def _mark_busy(starts, ends, n):
@@ -495,6 +408,50 @@ def _mark_busy(starts, ends, n):
     np.add.at(delta, starts[valid], 1)
     np.add.at(delta, ends[valid] + 1, -1)
     return np.cumsum(delta[1 : n + 1]) > 0
+
+
+def _uplink_and_summary(params: SystemParams, rho: float, cfg: SimConfig, rep: int,
+                        energy_cum, dl, busy):
+    """The device's uplink from its banked energy, then the replication summary.
+
+    Both schemes share this half. ``rho`` fixes the device transmit power
+    and so the energy threshold; ``dl`` is the downlink's (delivery blocks,
+    system times, service times); ``busy`` marks the time-split data
+    blocks, in which nothing is harvested (None under power splitting).
+    """
+    n = cfg.num_blocks
+    warmup = cfg.resolved_warmup()
+    threshold = uplink_energy_threshold(params, rho)
+    tx, slot_gaps = _transmit_schedule(energy_cum, threshold)
+    final_buffer = float(energy_cum[-1]) - threshold * len(tx)
+
+    ul_gain = sample_gain(make_stream(cfg.seed, rep, "ul_gain"), params.channel_rate, len(tx))
+    ul_cum = np.cumsum(per_block_uplink_nats(params, rho, ul_gain, cfg.snr_mode))
+    del ul_gain
+    ul_blocks, ul_services = _deliveries(tx[_walk_packets(ul_cum, params.packet_nats, len(tx))])
+    del ul_cum
+
+    dl_count, dl_age_sum, dl_hist = _window_stats(*dl, warmup, n)
+    ul_count, ul_age_sum, ul_hist = _window_stats(ul_blocks, ul_services, ul_services, warmup, n)
+    slot_hist = _hist(slot_gaps[(tx[1:] > warmup) & (tx[1:] <= n)]) if len(tx) > 1 else {}
+
+    span = n - warmup
+    energy_blocks = span if busy is None else (~busy[warmup:]).sum()
+    stats = ReplicationStats(
+        mean_dl_aoi=dl_age_sum / span,
+        mean_ul_aoi=ul_age_sum / span,
+        dl_rate=dl_count / span,
+        ul_rate=ul_count / span,
+        dl_packets=dl_count,
+        ul_packets=ul_count,
+        final_buffer_joules=final_buffer,
+        energy_block_fraction=float(energy_blocks / span),
+    )
+    trace = None
+    if cfg.trace_path is not None and rep == 0:
+        trace = _trace_frame(n, dl[0], dl[1], ul_blocks, ul_services,
+                             tx, energy_cum, threshold, busy)
+    return stats, dl_hist, ul_hist, slot_hist, trace
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +502,7 @@ def run_power_splitting(params: SystemParams, rho: float, config: SimConfig) -> 
         raise ValueError(f"rho must be in (0, 1) for a simulation run, got {rho!r}")
     if config.scheme != "power_split":
         raise ValueError("config.scheme must be 'power_split' for run_power_splitting")
-    outputs = [_ps_replication(params, rho, config, rep)
-               for rep in range(config.replications)]
-    _maybe_write_trace(config, outputs)
-    return _aggregate(params, config, outputs)
+    return _run(_ps_replication, params, rho, config)
 
 
 def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig) -> SimReport:
@@ -559,9 +513,13 @@ def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig)
             f"ever transferred and the uplink starves")
     if config.scheme != "time_split":
         raise ValueError("config.scheme must be 'time_split' for run_time_splitting")
-    outputs = [_ts_replication(params, gen_prob, config, rep)
-               for rep in range(config.replications)]
-    _maybe_write_trace(config, outputs)
+    return _run(_ts_replication, params, gen_prob, config)
+
+
+def _run(replication, params: SystemParams, x: float, config: SimConfig) -> SimReport:
+    outputs = [replication(params, x, config, rep) for rep in range(config.replications)]
+    if config.trace_path is not None:
+        _write_trace(config.trace_path, outputs[0][4])
     return _aggregate(params, config, outputs)
 
 
@@ -587,15 +545,11 @@ def _trace_frame(n, dl_blocks, dl_system, ul_blocks, ul_services,
     return dl_age, ul_age, buffer, flags, energy_block
 
 
-def _maybe_write_trace(config: SimConfig, outputs):
-    if config.trace_path is None:
-        return
-    trace = outputs[0][4]
+def _write_trace(path: str, trace):
     dl_age, ul_age, buffer, flags, energy_block = trace
-    n = config.num_blocks
-    with open(config.trace_path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,dl_aoi,ul_aoi,buffer_joules,dl_delivery,ul_delivery,ul_tx,energy_block\n")
-        for i in range(n):
+        for i in range(len(dl_age)):
             fh.write(
                 f"{i + 1},{dl_age[i]},{ul_age[i]},{buffer[i]:.12g},"
                 f"{int(flags['dl_delivery'][i])},{int(flags['ul_delivery'][i])},"

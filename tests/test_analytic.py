@@ -23,7 +23,6 @@ from twoway_aoi.analytic import (
     renewal_aoi,
     ts_equivalent_rho,
     uplink_service_moments,
-    uplink_tx_count_moments,
     weighted_sum_aoi,
 )
 from twoway_aoi.model import SystemParams
@@ -86,6 +85,10 @@ def test_moments_examples():
     m = downlink_service_moments(54.0)
     assert m.m1 == 55.0
     assert m.m2 == 3079.0
+    # the uplink's transmit-block count at the reference load
+    m = downlink_service_moments(364.5)
+    assert m.m1 == 365.5
+    assert m.m2 == 133954.75
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +171,6 @@ def test_harvest_identity_mean_minus_mu_is_zero_prob():
 
 # ---------------------------------------------------------------------------
 # uplink moments
-
-
-def test_uplink_tx_count_moments():
-    assert uplink_tx_count_moments(0.0) == (1.0, 1.0)
-    m = uplink_tx_count_moments(364.5)
-    assert m.m1 == 365.5
-    assert m.m2 == pytest.approx(364.5**2 + 3 * 364.5 + 1, rel=1e-14)  # 133954.75
-    assert m.m2 == 133954.75
 
 
 def test_uplink_service_moments_trivial():

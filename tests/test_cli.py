@@ -1,6 +1,8 @@
 """Command-line surface: merging, CSV format, reproducibility, exit codes."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twoway_aoi.cli import main
 
@@ -72,6 +74,54 @@ def test_round_trip_from_header(tmp_path, capsys):
     out2 = tmp_path / "b.csv"
     assert main(["analytic", "--config", str(cfg), "--output", str(out2)]) == 0
     assert out2.read_text() == text
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _grid(lo, hi):
+    return st.lists(_floats(lo, hi), min_size=1, max_size=4).map(
+        lambda vs: ",".join(repr(v) for v in vs))
+
+
+_SPEC_FLAGS = st.fixed_dictionaries({
+    "--total-power": _floats(1e-3, 1.0),
+    "--split-ratio": _floats(0.0, 1.0),
+    "--channel-rate": _floats(0.5, 5.0),
+    "--distance": _floats(0.5, 3.0),
+    "--pathloss-exp": _floats(1.5, 4.0),
+    "--noise-density": _floats(1e-8, 1e-6),
+    "--packet-nats": _floats(0.0, 200.0),
+    "--harvest-eff": _floats(0.05, 1.0),
+    "--weight-uplink": _floats(0.0, 1.0),
+    "--rho-grid": _grid(0.0, 1.0),
+    "--w-grid": _grid(0.0, 1.0),
+    "--p-grid": _grid(1e-4, 0.03),
+    "--num-blocks": st.integers(1, 10**7),
+    "--seed": st.integers(0, 2**32),
+    "--snr-mode": st.sampled_from(["exact", "linear"]),
+    "--scheme": st.sampled_from(["power_split", "time_split"]),
+    "--gen-prob": _floats(1e-4, 0.03),
+    "--rho-init": _floats(0.01, 0.99),
+    "--max-iters": st.integers(1, 100),
+    "--tol": _floats(1e-12, 1e-3),
+    "--boundary-eps": _floats(1e-6, 0.1),
+}).map(lambda flags: [str(tok) for kv in flags.items() for tok in kv])
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["analytic", "optimize"]), flags=_SPEC_FLAGS)
+def test_header_round_trip_random_specs(tmp_path, command, flags):
+    out1, cfg, out2 = tmp_path / "a.csv", tmp_path / "replay.cfg", tmp_path / "b.csv"
+    code = main([command, *flags, "--output", str(out1)])
+    assert code in (0, 2)              # 2: the optimizer may stop short at small max_iters
+    text = out1.read_text()
+    stripped = [ln[2:] if ln.startswith("# ") else ln for ln in header_lines(text)]
+    cfg.write_text("\n".join(stripped) + "\n")
+    assert main([command, "--config", str(cfg), "--output", str(out2)]) == code
+    assert out2.read_bytes() == out1.read_bytes()
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -216,6 +266,25 @@ def test_malformed_config_value(tmp_path, capsys):
     code, _, err = run_cli(["analytic", "--config", str(cfg)], capsys)
     assert code == 1
     assert "total_power" in err
+
+
+@pytest.mark.parametrize("key,raw", [("num_blocks", "abc"), ("snr_mode", "approx"),
+                                     ("scheme", "foo")])
+def test_bad_value_is_validation_error_by_flag_and_by_config(tmp_path, capsys, key, raw):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"num_blocks = 2000\n{key} = {raw}\n")
+    by_flag = ["simulate", "--num-blocks", "2000", f"--{key.replace('_', '-')}", raw]
+    for argv in (by_flag, ["simulate", "--config", str(cfg)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert key in err
+
+
+def test_config_directory_is_io_error(tmp_path, capsys):
+    code, _, err = run_cli(["analytic", "--config", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith("error:")
 
 
 def test_missing_config_is_io_error(capsys):

@@ -28,6 +28,7 @@ from twoway_aoi.model import (
 )
 from twoway_aoi.simulator import (
     SimConfig,
+    _transmit_schedule,
     aoi_from_path,
     aoi_via_qk,
     make_stream,
@@ -307,6 +308,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="stable"):
         run_time_splitting(REF, 0.2, SimConfig(num_blocks=100, scheme="time_split",
                                                gen_prob=0.2))
+
+
+def test_energy_causality_violation_is_numerical_failure():
+    # a cumulative path that falls back below a crossing it already made
+    with pytest.raises(ArithmeticError, match="energy causality"):
+        _transmit_schedule(np.array([0.3, 3.9, 2.6, 3.8, 1.4, 3.0]), 1.0)
 
 
 def test_warmup_default_is_one_percent():
