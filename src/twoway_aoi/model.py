@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,9 @@ class SystemParams:
         if not (0.0 <= self.weight_uplink <= 1.0):
             raise ValueError(f"weight_uplink must be in [0, 1], got {self.weight_uplink!r}")
 
-    @property
+    @cached_property
     def _d_alpha(self) -> float:
-        """Path loss d**alpha; every formula here takes it from this one expression."""
+        """Path loss d**alpha, evaluated once per parameter set."""
         return self.distance ** self.pathloss_exp
 
     @property

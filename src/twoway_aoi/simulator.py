@@ -371,10 +371,9 @@ def _ts_replication(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: 
     data_cum = np.cumsum(per_block_downlink_nats(params, 0.0, dl_gain, cfg.snr_mode))
     del dl_gain
     # data blocks each packet occupies, in FCFS slot order
-    comp = _walk_packets(data_cum, params.packet_nats, len(arrivals))
+    services = np.diff(_walk_packets(data_cum, params.packet_nats, len(arrivals)), prepend=-1)
     del data_cum
-    services = np.diff(comp, prepend=-1)
-    if len(comp) < len(arrivals) and services.sum() < n:
+    if len(services) < len(arrivals) and services.sum() < n:
         # data slots are left but the next packet cannot finish within them: keep
         # the access point busy to the end but never deliver (sentinel longer
         # than any window)
