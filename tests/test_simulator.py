@@ -6,11 +6,17 @@ vectorized engine must agree exactly. Statistical checks then pin the
 engine to the closed forms at scale.
 """
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoway_aoi import simulator
 from twoway_aoi.analytic import (
     avg_downlink_aoi,
     avg_uplink_aoi,
@@ -18,6 +24,7 @@ from twoway_aoi.analytic import (
     harvest_slot_pmf,
     ts_equivalent_rho,
 )
+from twoway_aoi.cli import main
 from twoway_aoi.model import (
     SystemParams,
     derive_constants,
@@ -29,6 +36,7 @@ from twoway_aoi.model import (
 from twoway_aoi.simulator import (
     SimConfig,
     _transmit_schedule,
+    _walk_packets,
     aoi_from_path,
     aoi_via_qk,
     make_stream,
@@ -85,6 +93,22 @@ def _drain(blocks_nats, packet_nats):
         if acc >= packet_nats:
             completions.append(i)
             acc = 0.0
+    return completions
+
+
+def _walk_reference(cum_nats, packet_nats, limit):
+    """The walk as one searchsorted call per packet, over the cumulative nats."""
+    n = len(cum_nats)
+    completions = []
+    start = 0
+    anchor = 0.0
+    for _ in range(limit):
+        j = max(int(np.searchsorted(cum_nats, anchor + packet_nats, side="left")), start)
+        if j >= n:
+            break
+        completions.append(j)
+        anchor = float(cum_nats[j])
+        start = j + 1
     return completions
 
 
@@ -260,6 +284,23 @@ def test_time_split_matches_reference(p, seed):
     assert rep.energy_block_fraction == pytest.approx(ref["energy_block_fraction"], abs=0)
 
 
+# zero-nat blocks tie in the cumulative path; tenths round when summed
+_NATS = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3]), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nats=st.lists(_NATS, max_size=60),
+       packet_nats=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 12.0)),
+       limit=st.integers(0, 70))
+def test_walk_matches_searchsorted_reference(nats, packet_nats, limit):
+    cum = np.cumsum(np.asarray(nats, dtype=np.float64))
+    # the drawn limit, and one above any possible number of completions
+    for lim in (limit, len(nats) + 1):
+        got = _walk_packets(cum, packet_nats, lim)
+        assert got.dtype == np.int64
+        assert got.tolist() == _walk_reference(cum, packet_nats, lim)
+
+
 def _as_hist(values):
     out = {}
     for v in values:
@@ -288,6 +329,76 @@ def test_report_deterministic():
     a = run_power_splitting(REF, 0.5, cfg)
     b = run_power_splitting(REF, 0.5, cfg)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# parallel replications
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools created while the test runs."""
+    made = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            made.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return made
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("run,x,scheme,gen_prob", [
+    (run_power_splitting, 0.5, "power_split", None),
+    (run_time_splitting, 0.02, "time_split", 0.02),
+])
+def test_pool_matches_sequential(monkeypatch, pools, run, x, scheme, gen_prob):
+    cfg = SimConfig(num_blocks=20_000, seed=8, replications=3, scheme=scheme,
+                    gen_prob=gen_prob)
+    _cpus(monkeypatch, 1)
+    sequential = run(REF, x, cfg)
+    _cpus(monkeypatch, 2)
+    pooled = run(REF, x, cfg)
+    assert pools == [2]
+    assert pooled.per_replication == sequential.per_replication
+    assert pooled == sequential
+
+
+def test_worker_arithmetic_error_is_numerical_failure(monkeypatch, pools, capsys):
+    parent = os.getpid()
+
+    def broken(*args):
+        raise ArithmeticError("in a worker" if os.getpid() != parent else "in the parent")
+
+    monkeypatch.setattr(simulator, "_transmit_schedule", broken)   # inherited by fork
+    _cpus(monkeypatch, 2)
+    assert main(["simulate", "--num-blocks", "2000", "--replications", "3"]) == 2
+    assert pools == [2]
+    assert "numerical failure: in a worker" in capsys.readouterr().err
+
+
+def test_one_replication_starts_no_pool(monkeypatch, pools):
+    _cpus(monkeypatch, 2)
+    run_power_splitting(REF, 0.5, SimConfig(num_blocks=2000))
+    assert pools == []
+
+
+def _power_split_reference_point(cfg):
+    return run_power_splitting(REF, 0.5, cfg)
+
+
+def test_daemon_process_runs_replications_in_process(monkeypatch):
+    # a multiprocessing.Pool worker is a daemon, which may not start processes
+    cfg = SimConfig(num_blocks=2000, seed=5, replications=2)
+    _cpus(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as outer:
+        nested = outer.apply_async(_power_split_reference_point, (cfg,)).get(timeout=60)
+    assert nested == run_power_splitting(REF, 0.5, cfg)
 
 
 def test_config_validation():
