@@ -8,7 +8,8 @@ command with --config pointing at it.
 
 Parameter precedence is flag > config file > built-in default, where the
 defaults are the reference operating point of :class:`SystemParams`.
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
+3 I/O.
 """
 
 from __future__ import annotations
@@ -112,8 +113,19 @@ def load_config(path: str) -> dict:
     return merged
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error (unknown flag, missing command), like a bad value.
+
+    argparse's own code, 2, is the one this CLI gives numerical failure.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twoway-aoi",
         description="Age-of-information analytics, optimization, and simulation "
                     "for the power-splitting two-way exchange link.")
@@ -268,6 +280,22 @@ def _sim_rows(spec: RunSpec, report) -> list[list]:
     return rows
 
 
+def _warn_censored(report, run: str) -> None:
+    """Warn on stderr, once per direction, if a replication's window is censored.
+
+    A window with fewer than two deliveries holds no whole interval between
+    them, so its mean age follows the window's length, not the service times.
+    """
+    reps = report.per_replication
+    for side, name, counts in (("dl", "downlink", [r.dl_packets for r in reps]),
+                               ("ul", "uplink", [r.ul_packets for r in reps])):
+        short = sum(count < 2 for count in counts)
+        if short:
+            print(f"warning: {run}: {short} of {len(reps)} replications delivered fewer "
+                  f"than two {name} packets in the window; their mean_{side}_aoi follows "
+                  f"the window's length, not the service times", file=sys.stderr)
+
+
 def cmd_simulate(spec: RunSpec) -> int:
     if spec.scheme == "time_split":
         report = run_time_splitting(
@@ -276,6 +304,7 @@ def cmd_simulate(spec: RunSpec) -> int:
         report = run_power_splitting(
             spec.params, spec.params.split_ratio, _sim_config(spec, "power_split", None))
     _emit(spec, _SIM_COLUMNS, _sim_rows(spec, report))
+    _warn_censored(report, spec.scheme)
     return 0
 
 
@@ -289,6 +318,8 @@ def cmd_compare(spec: RunSpec) -> int:
         ts = run_time_splitting(spec.params, p, _sim_config(spec, "time_split", p))
         ps_params = replace(spec.params, split_ratio=rho_ts)
         ps = run_power_splitting(ps_params, rho_ts, _sim_config(spec, "power_split", None))
+        _warn_censored(ts, f"time_split at p = {p!r}")
+        _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
         r_ps = (1.0 - w) * ps.dl_rate + w * ps.ul_rate
         r_ts = (1.0 - w) * ts.dl_rate + w * ts.ul_rate
         rows.append([p, rho_ts, r_ps, r_ts, ps.weighted_aoi, ts.weighted_aoi])

@@ -1,5 +1,7 @@
 """Command-line surface: merging, CSV format, reproducibility, exit codes."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -218,6 +220,26 @@ def test_simulate_round_trip_from_header(tmp_path):
     assert out2.read_text() == text
 
 
+def test_censored_window_warns_once_per_direction(capsys):
+    # the golden time-split case delivers no uplink packet; at 1000 blocks the
+    # power-split uplink delivers only its first packet, so its age is the ramp
+    golden = (Path(__file__).parent / "golden" / "simulate_time_split.csv").read_text()
+    time_split = ["simulate", "--scheme", "time_split", "--gen-prob", "0.0355",
+                  "--num-blocks", "20000", "--seed", "2"]
+    for argv, stdout in ((time_split, golden), (["simulate", "--num-blocks", "1000"], None)):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert stdout is None or out == stdout
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning:")
+        assert "fewer than two uplink packets" in lines[0]
+        assert "mean_ul_aoi" in lines[0]
+    code, _, err = run_cli(["simulate", "--num-blocks", "30000", "--seed", "3"], capsys)
+    assert code == 0
+    assert err == ""
+
+
 def test_optimize_nonconvergence_is_numerical_failure(capsys):
     # one Newton step cannot reach tol 1e-12 from the default start
     code, out, err = run_cli(["optimize", "--w-grid", "0.5", "--max-iters", "1"], capsys)
@@ -279,6 +301,15 @@ def test_bad_value_is_validation_error_by_flag_and_by_config(tmp_path, capsys, k
         assert code == 1
         assert out == ""
         assert key in err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--bogus", "1"], []],
+                         ids=["unknown_flag", "missing_command"])
+def test_usage_error_is_validation_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_config_directory_is_io_error(tmp_path, capsys):
