@@ -21,6 +21,14 @@ instantaneous buffer level is what makes the harvest-slot counts exactly
 independent Poisson(1/eta) draws; the buffer never goes negative under
 this rule (checked every run).
 
+Each replication streams its horizon in chunks of ``_CHUNK_BLOCKS``
+blocks. Every random stream is drawn chunk by chunk, and the running sums,
+packet anchors, threshold crossings, FCFS queue and age paths carry across
+chunk boundaries, so the report does not depend on the chunk size and a
+replication's memory does not grow with the horizon. The exception is the
+transmit backlog, one byte per banked crossing not yet sent (see
+``_transmit_schedule``).
+
 Replications are seeded independently from (seed, replication, stream
 tag) and aggregated in index order, so a report is a pure function of its
 SimConfig. Several replications run in parallel worker processes, one per
@@ -32,6 +40,8 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -163,13 +173,16 @@ class SimReport:
 # path machinery
 
 
-def _walk_packets(cum_nats: np.ndarray, packet_nats: float, limit: int) -> np.ndarray:
+def _walk_packets(cum_nats: np.ndarray, packet_nats: float, limit: int, *,
+                  anchor: float = 0.0) -> np.ndarray:
     """Zero-wait completions of at most ``limit`` packets over per-slot nats.
 
     Returns the 0-based slot indices at which successive packets finish.
     Each packet starts at the slot after its predecessor's completion with
     a fresh accumulator (residual capacity in the completing slot is
     discarded), which is what makes the slot counts shifted-Poisson.
+    ``anchor`` is the cumulative nats at the latest completion before
+    ``cum_nats[0]``, for a path walked in pieces.
     """
     # bisect over a memoryview compares Python floats, which round like
     # searchsorted(side="left") on the float64 array at a fraction of the
@@ -178,7 +191,6 @@ def _walk_packets(cum_nats: np.ndarray, packet_nats: float, limit: int) -> np.nd
     n = len(view)
     completions = []
     start = 0
-    anchor = 0.0
     for _ in range(limit):
         j = bisect_left(view, anchor + packet_nats, start)
         if j >= n:
@@ -189,53 +201,82 @@ def _walk_packets(cum_nats: np.ndarray, packet_nats: float, limit: int) -> np.nd
     return np.asarray(completions, dtype=np.int64)
 
 
-def _age_sum(reset_epochs: np.ndarray, reset_values: np.ndarray,
-             warmup: int, horizon: int) -> int:
+class _Walk:
+    """The packet walk over a stream of per-slot nats that arrives in pieces.
+
+    Cumulative nats carry across pieces as one sequential sum, so the
+    completions equal those of one walk over the whole stream.
+    """
+
+    def __init__(self, packet_nats: float):
+        self.packet_nats = packet_nats
+        self.total = 0.0              # cumulative nats through the last slot fed
+        self.anchor = 0.0             # cumulative nats at the latest completion
+        self.base = 0                 # stream index of cum[0]
+        self.cum = np.empty(0)        # cumulative nats of the fed slots not walked yet
+
+    @property
+    def fed(self) -> int:
+        return self.base + len(self.cum)
+
+    def feed(self, nats):
+        # cumsum over [carry, chunk] rounds like one long cumsum; carry + cumsum(chunk) does not
+        cum = np.cumsum(np.concatenate(([self.total], nats)))[1:]
+        if len(cum):
+            self.total = float(cum[-1])
+        self.cum = np.concatenate((self.cum, cum)) if len(self.cum) else cum
+
+    def completions(self, limit: int) -> np.ndarray:
+        """Stream indices of the slots in which the next ``limit`` packets at most finish."""
+        done = _walk_packets(self.cum, self.packet_nats, limit, anchor=self.anchor)
+        if len(done):
+            self.anchor = float(self.cum[done[-1]])
+        if len(done) < limit:
+            walked = len(self.cum)     # no fed slot finishes the packet in progress
+        else:
+            walked = int(done[-1]) + 1 if len(done) else 0
+        self.cum = self.cum[walked:]
+        self.base += walked
+        return done + (self.base - walked)
+
+
+def _resets(reset_epochs, reset_values, horizon: int, last):
+    """Reset epochs and ages through ``horizon``, led by the earlier reset ``last``."""
+    d = np.asarray(np.concatenate(([last[0]], reset_epochs)), dtype=np.int64)
+    v = np.asarray(np.concatenate(([last[1]], reset_values)), dtype=np.int64)
+    keep = d <= horizon
+    return d[keep], v[keep]
+
+
+def _age_sum(reset_epochs, reset_values, warmup: int, horizon: int,
+             last=(0, 0)) -> int:
     """Exact integer sum of the age path over epochs warmup+1 .. horizon.
 
-    The age is 0 at epoch 0 and grows by one per epoch until the first
-    reset; at reset epoch d_k it drops to v_k and resumes growing.
+    The age grows by one per epoch; at reset epoch d_k it drops to v_k and
+    resumes growing. ``last`` is the latest (epoch, age) reset at or before
+    epoch warmup+1; the default (0, 0) is a path that starts at age 0.
     """
-    total = 0
-    d = np.asarray(reset_epochs, dtype=np.int64)
-    v = np.asarray(reset_values, dtype=np.int64)
-    keep = d <= horizon
-    d, v = d[keep], v[keep]
-    # head segment: epochs [1, first_reset - 1] with age = epoch
-    head_end = int(d[0]) - 1 if len(d) else horizon
-    lo, hi = max(1, warmup + 1), min(head_end, horizon)
-    if hi >= lo:
-        cnt = hi - lo + 1
-        total += cnt * lo + cnt * (cnt - 1) // 2
-    if not len(d):
-        return total
-    # interior + tail segments, vectorized arithmetic series
-    seg_lo = d
-    seg_hi = np.empty_like(d)
-    seg_hi[:-1] = d[1:] - 1
-    seg_hi[-1] = horizon
-    lo_c = np.maximum(seg_lo, warmup + 1)
-    hi_c = np.minimum(seg_hi, horizon)
-    m = hi_c >= lo_c
-    cnt = (hi_c - lo_c + 1)[m]
-    first = (v + (lo_c - seg_lo))[m]
-    total += int((cnt * first).sum() + (cnt * (cnt - 1) // 2).sum())
-    return total
+    d, v = _resets(reset_epochs, reset_values, horizon, last)
+    # one arithmetic series per segment between consecutive resets
+    seg_hi = np.append(d[1:] - 1, horizon)
+    lo = np.maximum(d, warmup + 1)
+    m = seg_hi >= lo
+    cnt = (seg_hi - lo + 1)[m]
+    first = (v + (lo - d))[m]
+    return int((cnt * first).sum() + (cnt * (cnt - 1) // 2).sum())
 
 
-def _age_path(reset_epochs, reset_values, horizon: int) -> np.ndarray:
-    """Materialized age at epochs 1..horizon (trace/debug use only)."""
-    ages = np.arange(1, horizon + 1, dtype=np.int64)
-    d = np.asarray(reset_epochs, dtype=np.int64)
-    v = np.asarray(reset_values, dtype=np.int64)
-    keep = d <= horizon
-    d, v = d[keep], v[keep]
-    if len(d):
-        # offset from the most recent reset
-        idx = np.searchsorted(d, ages, side="right") - 1
-        has = idx >= 0
-        ages[has] = v[idx[has]] + (ages[has] - d[idx[has]])
-    return ages
+def _age_path(reset_epochs, reset_values, horizon: int, start: int = 0,
+              last=(0, 0)) -> np.ndarray:
+    """Materialized age at epochs start+1..horizon (trace/debug use only).
+
+    ``last`` is as in :func:`_age_sum`, at or before epoch start+1.
+    """
+    epochs = np.arange(start + 1, horizon + 1, dtype=np.int64)
+    d, v = _resets(reset_epochs, reset_values, horizon, last)
+    # offset from the most recent reset
+    idx = np.searchsorted(d, epochs, side="right") - 1
+    return v[idx] + (epochs - d[idx])
 
 
 def aoi_from_path(deliveries) -> float:
@@ -289,176 +330,303 @@ def _check_deliveries(deliveries):
 # uplink energy/transmit schedule
 
 
-def _transmit_schedule(energy_cum: np.ndarray, threshold: float):
+class _Schedule:
+    """What the transmit schedule carries from one chunk of blocks to the next."""
+
+    def __init__(self):
+        self.offset = 0          # blocks fed so far
+        self.energy = 0.0        # cumulative harvest through block ``offset``
+        self.crossings = 0       # threshold multiples banked so far
+        self.last_cross = 0      # block of the latest crossing
+        self.last_tx = 1         # latest transmit block returned (a virtual one at first)
+        self.sent = 0            # transmissions returned so far
+        # spacings max(1, m_k - m_{k-1}) of the crossings not yet transmitted, oldest
+        # first, one array per chunk in the narrowest integer type that holds them
+        self.backlog = deque()
+
+
+def _narrow(spacing: np.ndarray) -> np.ndarray:
+    return spacing.astype(np.min_scalar_type(int(spacing.max())))
+
+
+def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedule | None = None):
     """Transmit blocks and harvest-slot gaps from a cumulative energy path.
 
     Crossing block m_k is the block in which the k-th multiple of the
     threshold is banked; transmissions are spaced max(1, m_k - m_{k-1})
     blocks apart, starting one block after the first crossing. Returns
     (tx_blocks 1-based, gaps aligned with tx_blocks[1:]).
+
+    A path fed chunk by chunk passes the same ``state`` with every chunk:
+    ``energy_cum`` then covers the blocks after ``state.offset``, and the
+    call returns the transmissions in those blocks, with the gaps of those
+    that have a predecessor. The spacings average 1/eta + exp(-1/eta)
+    blocks against 1/eta between crossings, so crossings outrun
+    transmissions and the state keeps the spacings of the unsent ones.
     """
-    n = len(energy_cum)
-    total = float(energy_cum[-1]) if n else 0.0
-    k_max = int(total / threshold)
-    if k_max < 1:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    targets = threshold * np.arange(1, k_max + 1)
-    cross = np.searchsorted(energy_cum, targets, side="left").astype(np.int64) + 1
-    gaps = np.maximum(1, np.diff(cross))
-    tx = np.empty(k_max, dtype=np.int64)
-    tx[0] = cross[0] + 1
-    tx[1:] = tx[0] + np.cumsum(gaps)
-    keep = tx <= n
-    tx = tx[keep]
-    gaps = gaps[: max(len(tx) - 1, 0)]
-    if len(tx):
+    state = _Schedule() if state is None else state
+    lo, banked = state.offset, state.energy
+    hi = lo + len(energy_cum)
+    if len(energy_cum):
+        state.energy = float(energy_cum[-1])
+        # one target past the quotient, which can round below a multiple already banked
+        k_hi = int(float(energy_cum[-1]) / threshold) + 1
+        targets = threshold * np.arange(state.crossings + 1, k_hi + 1)
+        idx = np.searchsorted(energy_cum, targets, side="left")
+        cross = idx[idx < len(energy_cum)] + (lo + 1)    # the others cross in later chunks
+        if len(cross):
+            # after the virtual transmission at block 1 (crossing 0) the first one is m_1 + 1
+            spacing = np.maximum(1, np.diff(cross, prepend=state.last_cross))
+            state.backlog.append(_narrow(spacing))
+            state.crossings += len(cross)
+            state.last_cross = int(cross[-1])
+    # every spacing is >= 1, so at most hi - last_tx of the oldest ones fit
+    parts, room = [], hi - state.last_tx
+    while state.backlog and room > 0:
+        part = state.backlog.popleft()
+        parts.append(part[:room])
+        if len(part) > room:
+            state.backlog.appendleft(part[room:])
+        room -= len(parts[-1])
+    gaps = np.concatenate(parts).astype(np.int64) if parts else np.empty(0, dtype=np.int64)
+    tx = state.last_tx + np.cumsum(gaps)
+    m = int(np.searchsorted(tx, hi, side="right"))
+    if m < len(tx):
+        state.backlog.appendleft(_narrow(gaps[m:]))
+    tx, gaps = tx[:m], gaps[:m]
+    if m:
         # the banked energy must cover every scheduled transmission
-        spent = threshold * np.arange(1, len(tx) + 1)
-        avail = energy_cum[tx - 2]  # buffer at block start, harvests through tx-1
+        spent = threshold * np.arange(state.sent + 1, state.sent + m + 1)
+        # buffer at block start, harvests through tx-1
+        avail = np.concatenate(([banked], energy_cum))[tx - 1 - lo]
         if not np.all(avail - spent >= -1e-9 * threshold):
             raise ArithmeticError("uplink transmit schedule violates energy causality")
+        state.last_tx = int(tx[-1])
+    if state.sent == 0:
+        gaps = gaps[1:]      # the first transmission has no predecessor
+    state.sent += m
+    state.offset = hi
     return tx, gaps
 
 
 # ---------------------------------------------------------------------------
 # per-replication engines
 
-
-def _deliveries(blocks):
-    """(completion blocks, service times) of zero-wait packets completing at ``blocks``."""
-    return blocks, np.diff(blocks, prepend=0)
-
-
-def _hist(values, lo=1) -> dict[int, int]:
-    values = np.asarray(values, dtype=np.int64)
-    if values.size == 0:
-        return {}
-    counts = np.bincount(values)
-    return {int(j): int(counts[j]) for j in range(lo, len(counts)) if counts[j]}
+# Every per-block, per-packet and per-transmission array lives for one chunk
+# of this many blocks, so a replication's memory does not grow with its
+# horizon; 2**14 to 2**16 blocks measured fastest (the chunk stays in cache).
+_CHUNK_BLOCKS = 1 << 16
 
 
-def _window_stats(blocks, system, services, warmup, horizon):
-    """Deliveries, age sum and service histogram inside the window.
+def _chunks(n: int):
+    """(lo, hi) of each chunk of blocks lo+1..hi of an n-block horizon."""
+    step = _CHUNK_BLOCKS
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
 
-    ``system`` is each packet's time from generation to delivery (the age
-    right after the reset); under zero wait it equals the service time.
-    """
-    in_win = (blocks > warmup) & (blocks <= horizon)
-    count = int(in_win.sum())
-    age_sum = _age_sum(blocks + 1, system + 1, warmup, horizon)
-    return count, age_sum, _hist(services[in_win])
+
+def _count(counts: np.ndarray, values) -> np.ndarray:
+    """``counts`` plus the occurrences of each integer value in ``values``."""
+    total = np.bincount(values, minlength=len(counts))
+    total[: len(counts)] += counts
+    return total
+
+
+def _hist(counts: np.ndarray) -> dict[int, int]:
+    values = np.flatnonzero(counts)
+    return dict(zip(values.tolist(), counts[values].tolist()))
+
+
+class _Deliveries:
+    """One direction's deliveries inside the window, tallied chunk by chunk."""
+
+    def __init__(self, warmup: int):
+        self.warmup = warmup
+        self.count = 0
+        self.age_sum = 0
+        self.counts = np.zeros(0, dtype=np.int64)     # window deliveries by service time
+        self.last = (0, 0)      # latest reset (epoch, age); the age starts at 0
+
+    def add(self, blocks, system, services, lo: int, hi: int):
+        """Deliveries at ``blocks`` within lo+1..hi; sums the age over epochs lo+1..hi.
+
+        ``system`` is each packet's time from generation to delivery (the
+        age right after the reset); under zero wait it equals the service
+        time.
+        """
+        resets, values = blocks + 1, system + 1
+        self.age_sum += _age_sum(resets, values, max(self.warmup, lo), hi, self.last)
+        in_win = blocks > self.warmup
+        self.count += int(in_win.sum())
+        self.counts = _count(self.counts, services[in_win])
+        if len(resets):
+            self.last = (int(resets[-1]), int(values[-1]))
 
 
 def _ps_replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
-    n = cfg.num_blocks
+    return _uplink_and_summary(params, rho, cfg, rep, _ps_downlink(params, rho, cfg, rep))
+
+
+def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
+    """Per chunk: zero-wait downlink deliveries and the energy harvested in every block."""
     lam = params.channel_rate
-
-    dl_gain = sample_gain(make_stream(cfg.seed, rep, "dl_gain"), lam, n)
-    dl_cum = np.cumsum(per_block_downlink_nats(params, rho, dl_gain, cfg.snr_mode))
-    del dl_gain
-    dl_blocks, dl_services = _deliveries(_walk_packets(dl_cum, params.packet_nats, n) + 1)
-    del dl_cum
-
-    hv_gain = sample_gain(make_stream(cfg.seed, rep, "harvest_gain"), lam, n)
-    energy_cum = np.cumsum(harvested_energy(params, rho, hv_gain))
-    del hv_gain
-    return _uplink_and_summary(params, rho, cfg, rep, energy_cum,
-                               (dl_blocks, dl_services, dl_services), None)
+    dl_stream = make_stream(cfg.seed, rep, "dl_gain")
+    hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
+    walk = _Walk(params.packet_nats)
+    last = 0
+    for lo, hi in _chunks(cfg.num_blocks):
+        gain = sample_gain(dl_stream, lam, hi - lo)
+        walk.feed(per_block_downlink_nats(params, rho, gain, cfg.snr_mode))
+        blocks = walk.completions(hi - lo) + 1
+        services = np.diff(blocks, prepend=last)
+        if len(blocks):
+            last = int(blocks[-1])
+        harvest = harvested_energy(params, rho, sample_gain(hv_stream, lam, hi - lo))
+        yield lo, hi, (blocks, services, services), harvest, None
 
 
 def _ts_replication(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int):
-    n = cfg.num_blocks
-    lam = params.channel_rate
-
-    u = make_stream(cfg.seed, rep, "packet_gen").random(n)
-    arrivals = np.flatnonzero(u < gen_prob).astype(np.int64) + 1  # block index
-    del u
-
-    dl_gain = sample_gain(make_stream(cfg.seed, rep, "dl_gain"), lam, n)
-    # full transmit power on data blocks: zero energy fraction
-    data_cum = np.cumsum(per_block_downlink_nats(params, 0.0, dl_gain, cfg.snr_mode))
-    del dl_gain
-    # data blocks each packet occupies, in FCFS slot order
-    services = np.diff(_walk_packets(data_cum, params.packet_nats, len(arrivals)), prepend=-1)
-    del data_cum
-    if len(services) < len(arrivals) and services.sum() < n:
-        # data slots are left but the next packet cannot finish within them: keep
-        # the access point busy to the end but never deliver (sentinel longer
-        # than any window)
-        services = np.append(services, n)
-    arrivals = arrivals[: len(services)]
-
-    # FCFS queue recursion: done_k = max(arr_k - 1, done_{k-1}) + S_k
-    cum_s = np.cumsum(services)
-    slack = np.maximum.accumulate(arrivals - 1 - (cum_s - services))
-    done = slack + cum_s
-    starts = done - services + 1
-    busy = _mark_busy(starts, np.minimum(done, n), n)
-
-    hv_gain = sample_gain(make_stream(cfg.seed, rep, "harvest_gain"), lam, n)
-    harvest = harvested_energy(params, 1.0, hv_gain)  # full power while idle
-    del hv_gain
-    harvest[busy] = 0.0
-    energy_cum = np.cumsum(harvest)
-    del harvest
-
-    delivered = done <= n
-    dl_blocks = done[delivered]
-    dl = (dl_blocks, dl_blocks - (arrivals[delivered] - 1), services[delivered])
     return _uplink_and_summary(params, ts_equivalent_rho(gen_prob, params.theta), cfg, rep,
-                               energy_cum, dl, busy)
+                               _ts_downlink(params, gen_prob, cfg, rep))
 
 
-def _mark_busy(starts, ends, n):
-    delta = np.zeros(n + 2, dtype=np.int32)
-    valid = starts <= n
-    np.add.at(delta, starts[valid], 1)
-    np.add.at(delta, ends[valid] + 1, -1)
-    return np.cumsum(delta[1 : n + 1]) > 0
+def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int):
+    """Per chunk: FCFS downlink deliveries, idle-block harvest and the data blocks.
+
+    The access point serves queued packets in arrival order at full power,
+    one data block per block, and transfers energy while the queue is
+    empty. Downlink gains are indexed by data block and drawn only up to
+    the end of the current chunk, so at most one chunk's worth is drawn
+    beyond the data blocks served.
+    """
+    lam = params.channel_rate
+    gen = make_stream(cfg.seed, rep, "packet_gen")
+    dl_stream = make_stream(cfg.seed, rep, "dl_gain")
+    hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
+    walk = _Walk(params.packet_nats)            # over data blocks
+    arrivals = np.empty(0, dtype=np.int64)      # arrival blocks of the undelivered packets
+    services = np.empty(0, dtype=np.int64)      # data blocks of those whose last one is drawn
+    done = np.empty(0, dtype=np.int64)          # and their completion blocks
+    free = 0            # completion block of the latest packet with a known service
+    last_slot = -1      # its last data block
+    for lo, hi in _chunks(cfg.num_blocks):
+        u = gen.random(hi - lo)
+        arrivals = np.concatenate((arrivals, np.flatnonzero(u < gen_prob) + (lo + 1)))
+        while True:
+            slots = walk.completions(len(arrivals) - len(services))
+            if len(slots):
+                new = np.diff(slots, prepend=last_slot)
+                k = len(services)
+                services = np.concatenate((services, new))
+                done = np.concatenate((done, _fcfs(arrivals[k:len(services)], new, free)))
+                free = int(done[-1])
+                last_slot = int(slots[-1])
+            head = None
+            if len(services) == len(arrivals):
+                break
+            # the next packet is in service from block ``head`` on, one data block
+            # per block: draw its data blocks up to the end of the chunk
+            head = max(int(arrivals[len(services)]), free + 1)
+            need = hi - head + 1 - (walk.fed - last_slot - 1)
+            if need <= 0:
+                break
+            gain = sample_gain(dl_stream, lam, need)
+            walk.feed(per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode))
+        starts, ends = done - services + 1, done
+        if head is not None:
+            starts, ends = np.append(starts, head), np.append(ends, hi)
+        busy = _mark_busy(starts, ends, lo, hi)
+        m = int(np.searchsorted(done, hi, side="right"))
+        dl = (done[:m], done[:m] - (arrivals[:m] - 1), services[:m])
+        arrivals, services, done = arrivals[m:], services[m:], done[m:]
+        harvest = harvested_energy(params, 1.0, sample_gain(hv_stream, lam, hi - lo))
+        harvest[busy] = 0.0     # full power while idle, nothing while sending
+        yield lo, hi, dl, harvest, busy
 
 
-def _uplink_and_summary(params: SystemParams, rho: float, cfg: SimConfig, rep: int,
-                        energy_cum, dl, busy):
+def _fcfs(arrivals, services, free: int):
+    """FCFS completion blocks behind a server busy through block ``free``.
+
+    done_k = max(arr_k - 1, done_{k-1}) + S_k, with done_0 = free.
+    """
+    cum_s = np.cumsum(services)
+    slack = np.maximum.accumulate(np.maximum(arrivals - 1 - (cum_s - services), free))
+    return slack + cum_s
+
+
+def _mark_busy(starts, ends, lo: int, hi: int):
+    """Which blocks lo+1..hi lie in one of the block intervals [starts, ends]."""
+    c = hi - lo
+    s = np.maximum(starts - lo, 1)
+    e = np.minimum(ends - lo, c)
+    valid = s <= e
+    delta = np.zeros(c + 2, dtype=np.int32)
+    np.add.at(delta, s[valid], 1)
+    np.add.at(delta, e[valid] + 1, -1)
+    return np.cumsum(delta[1 : c + 1]) > 0
+
+
+def _uplink_and_summary(params: SystemParams, rho: float, cfg: SimConfig, rep: int, downlink):
     """The device's uplink from its banked energy, then the replication summary.
 
-    Both schemes share this half. ``rho`` fixes the device transmit power
-    and so the energy threshold; ``dl`` is the downlink's (delivery blocks,
-    system times, service times); ``busy`` marks the time-split data
-    blocks, in which nothing is harvested (None under power splitting).
+    Both schemes share this half. ``downlink`` yields, for each chunk of
+    blocks lo+1..hi from :func:`_chunks`, ``(lo, hi, dl, harvest, busy)``:
+    the downlink's (delivery blocks, system times, service times), the
+    energy banked in each block, and the time-split data blocks, in which
+    nothing is harvested (None under power splitting). ``rho`` fixes the
+    device transmit power and so the energy threshold. Replication 0
+    streams the trace dump, if the config asks for one.
     """
     n = cfg.num_blocks
     warmup = cfg.resolved_warmup()
+    lam = params.channel_rate
     threshold = uplink_energy_threshold(params, rho)
-    tx, slot_gaps = _transmit_schedule(energy_cum, threshold)
-    final_buffer = float(energy_cum[-1]) - threshold * len(tx)
-
-    ul_gain = sample_gain(make_stream(cfg.seed, rep, "ul_gain"), params.channel_rate, len(tx))
-    ul_cum = np.cumsum(per_block_uplink_nats(params, rho, ul_gain, cfg.snr_mode))
-    del ul_gain
-    ul_blocks, ul_services = _deliveries(tx[_walk_packets(ul_cum, params.packet_nats, len(tx))])
-    del ul_cum
-
-    dl_count, dl_age_sum, dl_hist = _window_stats(*dl, warmup, n)
-    ul_count, ul_age_sum, ul_hist = _window_stats(ul_blocks, ul_services, ul_services, warmup, n)
-    slot_hist = _hist(slot_gaps[(tx[1:] > warmup) & (tx[1:] <= n)]) if len(tx) > 1 else {}
+    ul_stream = make_stream(cfg.seed, rep, "ul_gain")
+    schedule = _Schedule()
+    walk = _Walk(params.packet_nats)        # over transmit blocks
+    dl, ul = _Deliveries(warmup), _Deliveries(warmup)
+    ul_last = 0
+    slot_counts = np.zeros(0, dtype=np.int64)
+    energy_blocks = 0
+    tracing = cfg.trace_path is not None and rep == 0
+    with open(cfg.trace_path, "w", encoding="utf-8") if tracing else nullcontext() as trace:
+        if trace is not None:
+            trace.write(_TRACE_HEADER)
+        for lo, hi, dl_chunk, harvest, busy in downlink:
+            energy_cum = np.cumsum(np.concatenate(([schedule.energy], harvest)))[1:]
+            sent = schedule.sent
+            tx, gaps = _transmit_schedule(energy_cum, threshold, schedule)
+            gain = sample_gain(ul_stream, lam, len(tx))
+            walk.feed(per_block_uplink_nats(params, rho, gain, cfg.snr_mode))
+            ul_blocks = tx[walk.completions(len(tx)) - sent]
+            ul_services = np.diff(ul_blocks, prepend=ul_last)
+            if len(ul_blocks):
+                ul_last = int(ul_blocks[-1])
+            if trace is not None:   # before the tallies move past this chunk
+                _write_trace(trace, _trace_frame(lo, hi, (dl, dl_chunk[:2]),
+                                                 (ul, (ul_blocks, ul_services)),
+                                                 tx, energy_cum, sent, threshold, busy))
+            dl.add(*dl_chunk, lo, hi)
+            ul.add(ul_blocks, ul_services, ul_services, lo, hi)
+            gap_tx = tx[len(tx) - len(gaps):]
+            slot_counts = _count(slot_counts, gaps[gap_tx > warmup])
+            if busy is None:
+                energy_blocks += max(hi - max(lo, warmup), 0)
+            else:
+                energy_blocks += int((~busy[max(warmup - lo, 0):]).sum())
 
     span = n - warmup
-    energy_blocks = span if busy is None else (~busy[warmup:]).sum()
     stats = ReplicationStats(
-        mean_dl_aoi=dl_age_sum / span,
-        mean_ul_aoi=ul_age_sum / span,
-        dl_rate=dl_count / span,
-        ul_rate=ul_count / span,
-        dl_packets=dl_count,
-        ul_packets=ul_count,
-        final_buffer_joules=final_buffer,
-        energy_block_fraction=float(energy_blocks / span),
+        mean_dl_aoi=dl.age_sum / span,
+        mean_ul_aoi=ul.age_sum / span,
+        dl_rate=dl.count / span,
+        ul_rate=ul.count / span,
+        dl_packets=dl.count,
+        ul_packets=ul.count,
+        final_buffer_joules=schedule.energy - threshold * schedule.sent,
+        energy_block_fraction=energy_blocks / span,
     )
-    trace = None
-    if cfg.trace_path is not None and rep == 0:
-        trace = _trace_frame(n, dl[0], dl[1], ul_blocks, ul_services,
-                             tx, energy_cum, threshold, busy)
-    return stats, dl_hist, ul_hist, slot_hist, trace
+    return stats, _hist(dl.counts), _hist(ul.counts), _hist(slot_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +693,6 @@ def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig)
 
 def _run(replication, params: SystemParams, x: float, config: SimConfig) -> SimReport:
     outputs = _map_ordered(partial(replication, params, x, config), range(config.replications))
-    if config.trace_path is not None:
-        _write_trace(config.trace_path, outputs[0][4])
     return _aggregate(params, config, outputs)
 
 
@@ -550,32 +716,27 @@ def _map_ordered(fn, reps) -> list:
 # ---------------------------------------------------------------------------
 # trace dump
 
-
-def _trace_frame(n, dl_blocks, dl_system, ul_blocks, ul_services,
-                 tx, energy_cum, threshold, busy):
-    dl_age = _age_path(dl_blocks + 1, dl_system + 1, n)
-    ul_age = _age_path(ul_blocks + 1, ul_services + 1, n)
-    spent = np.zeros(n, dtype=np.float64)
-    if len(tx):
-        counts = np.searchsorted(tx, np.arange(1, n + 1), side="right")
-        spent = counts * threshold
-    buffer = energy_cum - spent
-    flags = {
-        "dl_delivery": np.isin(np.arange(1, n + 1), dl_blocks + 1),
-        "ul_delivery": np.isin(np.arange(1, n + 1), ul_blocks + 1),
-        "ul_tx": np.isin(np.arange(1, n + 1), tx),
-    }
-    energy_block = ~busy if busy is not None else np.ones(n, dtype=bool)
-    return dl_age, ul_age, buffer, flags, energy_block
+_TRACE_HEADER = "epoch,dl_aoi,ul_aoi,buffer_joules,dl_delivery,ul_delivery,ul_tx,energy_block\n"
 
 
-def _write_trace(path: str, trace):
-    dl_age, ul_age, buffer, flags, energy_block = trace
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,dl_aoi,ul_aoi,buffer_joules,dl_delivery,ul_delivery,ul_tx,energy_block\n")
-        for i in range(len(dl_age)):
-            fh.write(
-                f"{i + 1},{dl_age[i]},{ul_age[i]},{buffer[i]:.12g},"
-                f"{int(flags['dl_delivery'][i])},{int(flags['ul_delivery'][i])},"
-                f"{int(flags['ul_tx'][i])},{int(energy_block[i])}\n"
-            )
+def _trace_frame(lo, hi, dl, ul, tx, energy_cum, sent, threshold, busy):
+    """Trace columns of epochs lo+1..hi, one row per epoch.
+
+    ``dl`` and ``ul`` pair a direction's tally, not yet past this chunk,
+    with the chunk's (delivery blocks, system times); ``sent`` counts the
+    transmissions before the chunk's ``tx``.
+    """
+    epochs = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    ages, delivered = [], []
+    for tally, (blocks, system) in (dl, ul):
+        ages.append(_age_path(blocks + 1, system + 1, hi, lo, tally.last))
+        delivered.append(np.isin(epochs, np.append(blocks + 1, tally.last[0])))
+    buffer = energy_cum - (sent + np.searchsorted(tx, epochs, side="right")) * threshold
+    energy_block = ~busy if busy is not None else np.ones(hi - lo, dtype=bool)
+    return epochs, *ages, buffer, *delivered, np.isin(epochs, tx), energy_block
+
+
+def _write_trace(fh, frame):
+    for epoch, dl_age, ul_age, buffer, dl_flag, ul_flag, tx_flag, energy in zip(*frame):
+        fh.write(f"{epoch},{dl_age},{ul_age},{buffer:.12g},"
+                 f"{int(dl_flag)},{int(ul_flag)},{int(tx_flag)},{int(energy)}\n")

@@ -6,6 +6,8 @@ run with bytes recorded in ``tests/golden/``. The cases cover both
 boundary and bisection rows of ``optimize``, both schemes, the exact SNR
 mode, several replications, a time-split walk that ends on the
 unfinished-packet sentinel, and per-epoch trace dumps of both schemes.
+Every case runs twice: at the default chunk size, which holds each recorded
+horizon in one chunk, and at 97 blocks, which crosses many chunk boundaries.
 
 After an intended change of output, re-record every file with
 
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from twoway_aoi import simulator
 from twoway_aoi.cli import main
 from twoway_aoi.model import SystemParams
 from twoway_aoi.simulator import SimConfig, run_power_splitting, run_time_splitting
@@ -65,6 +68,14 @@ def _write(name: str, path: Path) -> int:
 
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(name, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    assert _write(name, path) == 0
+    assert path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden_in_short_chunks(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", 97)
     path = tmp_path / f"{name}.csv"
     assert _write(name, path) == 0
     assert path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

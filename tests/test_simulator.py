@@ -10,10 +10,14 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import tempfile
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoway_aoi import simulator
@@ -284,6 +288,19 @@ def test_time_split_matches_reference(p, seed):
     assert rep.energy_block_fraction == pytest.approx(ref["energy_block_fraction"], abs=0)
 
 
+def test_time_split_first_packet_unfinished_at_horizon_matches_reference():
+    # at this seed the first packet arrives in block 1 and cannot finish in 10 blocks
+    n, seed, p = 10, 12, 0.03
+    cfg = SimConfig(num_blocks=n, seed=seed, warmup_blocks=0, scheme="time_split", gen_prob=p)
+    rep = run_time_splitting(REF, p, cfg)
+    ref = reference_time_split(REF, p, n, seed, 0)
+    assert make_stream(seed, 0, "packet_gen").random(1)[0] < p
+    assert rep.dl_rate == ref["dl_rate"] == 0.0
+    assert rep.dl_service_hist == {}
+    assert rep.mean_dl_aoi == ref["mean_dl_aoi"]
+    assert rep.energy_block_fraction == ref["energy_block_fraction"] == 0.0
+
+
 # zero-nat blocks tie in the cumulative path; tenths round when summed
 _NATS = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3]), st.floats(0.0, 5.0))
 
@@ -299,6 +316,57 @@ def test_walk_matches_searchsorted_reference(nats, packet_nats, limit):
         got = _walk_packets(cum, packet_nats, lim)
         assert got.dtype == np.int64
         assert got.tolist() == _walk_reference(cum, packet_nats, lim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nats=st.lists(_NATS, max_size=200),
+       packet_nats=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 12.0)),
+       cuts=st.lists(st.integers(0, 200), max_size=8),
+       limits=st.lists(st.integers(0, 20), min_size=9, max_size=9))
+def test_walk_fed_in_pieces_matches_one_walk(nats, packet_nats, cuts, limits):
+    nats = np.asarray(nats, dtype=np.float64)
+    walk = simulator._Walk(packet_nats)
+    got = []
+    # walks between feeds stop at a limit (as the time-split queue does) or run dry
+    for piece, limit in zip(np.split(nats, sorted(min(c, len(nats)) for c in cuts)), limits):
+        walk.feed(piece)
+        got += walk.completions(limit).tolist()
+    got += walk.completions(len(nats) + 1).tolist()
+    cum = np.cumsum(nats)
+    assert got == _walk_packets(cum, packet_nats, len(nats) + 1).tolist()
+    assert walk.total == (float(cum[-1]) if len(cum) else 0.0)   # one sequential sum
+
+
+def _age_by_loop(resets: dict, start: int, horizon: int, last) -> list:
+    """Age at epochs start+1..horizon, one epoch at a time from the reset ``last``."""
+    resets = {last[0]: last[1], **resets}
+    age, ages = 0, []
+    for epoch in range(last[0], horizon + 1):
+        age = resets[epoch] if epoch in resets else age + 1
+        if epoch > start:
+            ages.append(age)
+    return ages
+
+
+@settings(max_examples=300, deadline=None)
+@given(epochs=st.lists(st.integers(1, 120), unique=True, max_size=25),
+       values=st.lists(st.integers(1, 60), min_size=25, max_size=25),
+       warmup=st.integers(0, 130), horizon=st.integers(0, 130),
+       last=st.tuples(st.integers(0, 131), st.integers(0, 60)))
+def test_age_sum_matches_age_path(epochs, values, warmup, horizon, last):
+    d = np.array(sorted(epochs), dtype=np.int64)
+    v = np.array(values[: len(d)], dtype=np.int64)
+    # the path from age 0 at epoch 0, summed over a window
+    path = simulator._age_path(d, v, horizon)
+    assert path.tolist() == _age_by_loop(dict(zip(d.tolist(), v.tolist())), 0, horizon, (0, 0))
+    assert simulator._age_sum(d, v, warmup, horizon) == int(path[warmup:].sum())
+    # the carried form: resets after a latest reset at or before epoch warmup+1
+    last = (min(last[0], warmup + 1), last[1])
+    after = d > last[0]
+    d, v = d[after], v[after]
+    path = simulator._age_path(d, v, horizon, warmup, last)
+    assert path.tolist() == _age_by_loop(dict(zip(d.tolist(), v.tolist())), warmup, horizon, last)
+    assert simulator._age_sum(d, v, warmup, horizon, last) == int(path.sum())
 
 
 def _as_hist(values):
@@ -607,3 +675,95 @@ def test_trace_dump(tmp_path):
     assert mean_from_trace == pytest.approx(rep.mean_dl_aoi, rel=1e-12)
     n_tx = sum(int(r[6]) for r in rows)
     assert n_tx == sum(rep.harvest_slot_hist.values()) + 1  # first tx has no gap
+
+
+# ---------------------------------------------------------------------------
+# chunked streaming
+
+
+def _outputs(run, params, x, cfg):
+    """A run's report, per-replication stats and trace bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        report = run(params, x, replace(cfg, trace_path=str(path)))
+        return report, report.per_replication, path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheme=st.sampled_from(["power_split", "time_split"]),
+       snr_mode=st.sampled_from(["linear", "exact"]),
+       packet_nats=st.one_of(st.just(0.0), st.floats(1.0, 40.0)),
+       load=st.floats(0.05, 0.95),
+       num_blocks=st.integers(2, 400),
+       warmup=st.floats(0.0, 0.99),
+       seed=st.integers(0, 2**16))
+@example(scheme="power_split", snr_mode="linear", packet_nats=0.0, load=0.5,
+         num_blocks=300, warmup=0.0, seed=3)
+@example(scheme="time_split", snr_mode="linear", packet_nats=0.0, load=0.5,
+         num_blocks=300, warmup=0.0, seed=3)
+# the last arrival cannot finish within the horizon (the unfinished-packet sentinel)
+@example(scheme="time_split", snr_mode="linear", packet_nats=100.0, load=0.03 * 28,
+         num_blocks=300, warmup=0.0, seed=11)
+def test_chunk_size_does_not_change_results(scheme, snr_mode, packet_nats, load,
+                                            num_blocks, warmup, seed):
+    params = SystemParams(packet_nats=packet_nats)
+    if scheme == "power_split":
+        run, x, gen_prob = run_power_splitting, load, None
+    else:
+        # a fraction of the stable region p <= 1/(1 + theta)
+        run, x = run_time_splitting, load / (1.0 + params.theta)
+        gen_prob = x
+    cfg = SimConfig(num_blocks=num_blocks, seed=seed, warmup_blocks=int(warmup * num_blocks),
+                    snr_mode=snr_mode, scheme=scheme, gen_prob=gen_prob)
+    assert simulator._CHUNK_BLOCKS >= num_blocks
+    whole = _outputs(run, params, x, cfg)
+    for chunk in (1, 2, 7, 64, num_blocks):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK_BLOCKS", chunk)
+            assert _outputs(run, params, x, cfg) == whole, chunk
+
+
+def _peak_bytes(run, x, cfg):
+    tracemalloc.start()
+    try:
+        run(REF, x, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run,x,scheme,gen_prob", [
+    (run_power_splitting, 0.5, "power_split", None),
+    (run_time_splitting, 0.01, "time_split", 0.01),
+])
+def test_replication_memory_does_not_grow_with_horizon(run, x, scheme, gen_prob):
+    peaks = [_peak_bytes(run, x, SimConfig(num_blocks=n, seed=1, scheme=scheme,
+                                           gen_prob=gen_prob))
+             for n in (250_000, 2_000_000)]
+    # whole-horizon arrays took about 35 bytes per block: 70 MB at 2e6 blocks
+    assert peaks[1] < 12e6
+    assert peaks[1] < peaks[0] + 2e6
+
+
+def test_time_split_draws_downlink_gains_only_for_served_blocks(monkeypatch):
+    n, p = 1_000_000, 0.002
+    dl_streams, draws = [], []
+
+    def stream(seed, rep, tag):
+        gen = make_stream(seed, rep, tag)
+        if tag == "dl_gain":
+            dl_streams.append(gen)
+        return gen
+
+    def gain(gen, lam, size=None):
+        if any(gen is s for s in dl_streams):
+            draws.append(size)
+        return sample_gain(gen, lam, size)
+
+    monkeypatch.setattr(simulator, "make_stream", stream)
+    monkeypatch.setattr(simulator, "sample_gain", gain)
+    cfg = SimConfig(num_blocks=n, seed=1, warmup_blocks=0, scheme="time_split", gen_prob=p)
+    rep = run_time_splitting(REF, p, cfg)
+    served = n - round(rep.energy_block_fraction * n)     # data blocks
+    assert 0 < served < 0.1 * n
+    assert sum(draws) <= served + simulator._CHUNK_BLOCKS
