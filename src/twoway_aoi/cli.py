@@ -297,12 +297,12 @@ def _warn_censored(report, run: str) -> None:
 
 
 def cmd_simulate(spec: RunSpec) -> int:
+    # SimConfig rejects a gen_prob under power splitting
+    config = _sim_config(spec, spec.scheme, spec.gen_prob)
     if spec.scheme == "time_split":
-        report = run_time_splitting(
-            spec.params, spec.gen_prob, _sim_config(spec, "time_split", spec.gen_prob))
+        report = run_time_splitting(spec.params, spec.gen_prob, config)
     else:
-        report = run_power_splitting(
-            spec.params, spec.params.split_ratio, _sim_config(spec, "power_split", None))
+        report = run_power_splitting(spec.params, spec.params.split_ratio, config)
     _emit(spec, _SIM_COLUMNS, _sim_rows(spec, report))
     _warn_censored(report, spec.scheme)
     return 0

@@ -173,9 +173,8 @@ class SimReport:
 # path machinery
 
 
-def _walk_packets(cum_nats: np.ndarray, packet_nats: float, limit: int, *,
-                  anchor: float = 0.0) -> np.ndarray:
-    """Zero-wait completions of at most ``limit`` packets over per-slot nats.
+def _walk_packets(cum_nats: np.ndarray, packet_nats: float, *, anchor: float = 0.0) -> np.ndarray:
+    """Zero-wait packet completions over per-slot nats.
 
     Returns the 0-based slot indices at which successive packets finish.
     Each packet starts at the slot after its predecessor's completion with
@@ -186,18 +185,14 @@ def _walk_packets(cum_nats: np.ndarray, packet_nats: float, limit: int, *,
     """
     # bisect over a memoryview compares Python floats, which round like
     # searchsorted(side="left") on the float64 array at a fraction of the
-    # per-call cost; lo=start skips completed slots (cum_nats is nondecreasing)
+    # per-call cost; lo=j+1 skips completed slots (cum_nats is nondecreasing)
     view = memoryview(cum_nats)
     n = len(view)
     completions = []
-    start = 0
-    for _ in range(limit):
-        j = bisect_left(view, anchor + packet_nats, start)
-        if j >= n:
-            break
+    j = bisect_left(view, anchor + packet_nats)
+    while j < n:
         completions.append(j)
-        anchor = view[j]
-        start = j + 1
+        j = bisect_left(view, view[j] + packet_nats, j + 1)
     return np.asarray(completions, dtype=np.int64)
 
 
@@ -210,34 +205,25 @@ class _Walk:
 
     def __init__(self, packet_nats: float):
         self.packet_nats = packet_nats
-        self.total = 0.0              # cumulative nats through the last slot fed
-        self.anchor = 0.0             # cumulative nats at the latest completion
-        self.base = 0                 # stream index of cum[0]
-        self.cum = np.empty(0)        # cumulative nats of the fed slots not walked yet
+        self.total = 0.0    # cumulative nats through the last slot fed
+        self.anchor = 0.0   # cumulative nats at the latest completion
+        self.fed = 0        # slots fed so far
+        self.last = -1      # stream index of the latest completion slot
 
-    @property
-    def fed(self) -> int:
-        return self.base + len(self.cum)
-
-    def feed(self, nats):
+    def completions(self, nats):
+        """Walk the next slots' nats: (stream indices of completion slots, services in slots)."""
         # cumsum over [carry, chunk] rounds like one long cumsum; carry + cumsum(chunk) does not
         cum = np.cumsum(np.concatenate(([self.total], nats)))[1:]
+        done = _walk_packets(cum, self.packet_nats, anchor=self.anchor)
+        slots = done + self.fed
+        services = np.diff(slots, prepend=self.last)
+        if len(done):
+            self.anchor = float(cum[done[-1]])
+            self.last = int(slots[-1])
         if len(cum):
             self.total = float(cum[-1])
-        self.cum = np.concatenate((self.cum, cum)) if len(self.cum) else cum
-
-    def completions(self, limit: int) -> np.ndarray:
-        """Stream indices of the slots in which the next ``limit`` packets at most finish."""
-        done = _walk_packets(self.cum, self.packet_nats, limit, anchor=self.anchor)
-        if len(done):
-            self.anchor = float(self.cum[done[-1]])
-        if len(done) < limit:
-            walked = len(self.cum)     # no fed slot finishes the packet in progress
-        else:
-            walked = int(done[-1]) + 1 if len(done) else 0
-        self.cum = self.cum[walked:]
-        self.base += walked
-        return done + (self.base - walked)
+        self.fed += len(cum)
+        return slots, services
 
 
 def _resets(reset_epochs, reset_values, horizon: int, last):
@@ -289,11 +275,9 @@ def aoi_from_path(deliveries) -> float:
     d, s = _check_deliveries(deliveries)
     if len(d) < 2:
         raise ValueError("need at least two deliveries to form a span")
-    span = int(d[-1] - d[0])
-    gaps = np.diff(d)
-    first = s[:-1] + 1
-    total = (gaps * first).sum() + (gaps * (gaps - 1) // 2).sum()
-    return float(total / span)
+    # the age over epochs d_0 .. d_last - 1, reset to s_0 + 1 at the first delivery
+    total = _age_sum(d[1:], s[1:] + 1, int(d[0]) - 1, int(d[-1]) - 1, (int(d[0]), int(s[0]) + 1))
+    return total / int(d[-1] - d[0])
 
 
 def aoi_via_qk(deliveries) -> float:
@@ -349,7 +333,7 @@ def _narrow(spacing: np.ndarray) -> np.ndarray:
     return spacing.astype(np.min_scalar_type(int(spacing.max())))
 
 
-def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedule | None = None):
+def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedule):
     """Transmit blocks and harvest-slot gaps from a cumulative energy path.
 
     Crossing block m_k is the block in which the k-th multiple of the
@@ -357,14 +341,13 @@ def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedul
     blocks apart, starting one block after the first crossing. Returns
     (tx_blocks 1-based, gaps aligned with tx_blocks[1:]).
 
-    A path fed chunk by chunk passes the same ``state`` with every chunk:
-    ``energy_cum`` then covers the blocks after ``state.offset``, and the
-    call returns the transmissions in those blocks, with the gaps of those
-    that have a predecessor. The spacings average 1/eta + exp(-1/eta)
+    The path is fed chunk by chunk with the same ``state``: ``energy_cum``
+    covers the blocks after ``state.offset``, and the call returns the
+    transmissions in those blocks, with the gaps of those that have a
+    predecessor. The spacings average 1/eta + exp(-1/eta)
     blocks against 1/eta between crossings, so crossings outrun
     transmissions and the state keeps the spacings of the unsent ones.
     """
-    state = _Schedule() if state is None else state
     lo, banked = state.offset, state.energy
     hi = lo + len(energy_cum)
     if len(energy_cum):
@@ -463,31 +446,18 @@ class _Deliveries:
             self.last = (int(resets[-1]), int(values[-1]))
 
 
-def _ps_replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
-    return _uplink_and_summary(params, rho, cfg, rep, _ps_downlink(params, rho, cfg, rep))
-
-
 def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     """Per chunk: zero-wait downlink deliveries and the energy harvested in every block."""
     lam = params.channel_rate
     dl_stream = make_stream(cfg.seed, rep, "dl_gain")
     hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     walk = _Walk(params.packet_nats)
-    last = 0
     for lo, hi in _chunks(cfg.num_blocks):
         gain = sample_gain(dl_stream, lam, hi - lo)
-        walk.feed(per_block_downlink_nats(params, rho, gain, cfg.snr_mode))
-        blocks = walk.completions(hi - lo) + 1
-        services = np.diff(blocks, prepend=last)
-        if len(blocks):
-            last = int(blocks[-1])
+        nats = per_block_downlink_nats(params, rho, gain, cfg.snr_mode)
+        slots, services = walk.completions(nats)
         harvest = harvested_energy(params, rho, sample_gain(hv_stream, lam, hi - lo))
-        yield lo, hi, (blocks, services, services), harvest, None
-
-
-def _ts_replication(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int):
-    return _uplink_and_summary(params, ts_equivalent_rho(gen_prob, params.theta), cfg, rep,
-                               _ts_downlink(params, gen_prob, cfg, rep))
+        yield lo, hi, (slots + 1, services, services), harvest, None
 
 
 def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int):
@@ -497,7 +467,9 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
     one data block per block, and transfers energy while the queue is
     empty. Downlink gains are indexed by data block and drawn only up to
     the end of the current chunk, so at most one chunk's worth is drawn
-    beyond the data blocks served.
+    beyond the data blocks served. A packet's service depends only on the
+    gains of the data blocks, not on its arrival, so the walk may finish
+    services of packets that have not arrived yet.
     """
     lam = params.channel_rate
     gen = make_stream(cfg.seed, rep, "packet_gen")
@@ -505,34 +477,30 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
     hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     walk = _Walk(params.packet_nats)            # over data blocks
     arrivals = np.empty(0, dtype=np.int64)      # arrival blocks of the undelivered packets
-    services = np.empty(0, dtype=np.int64)      # data blocks of those whose last one is drawn
-    done = np.empty(0, dtype=np.int64)          # and their completion blocks
+    services = np.empty(0, dtype=np.int64)      # data blocks of those packets and the next ones
+    done = np.empty(0, dtype=np.int64)          # completion blocks of those with a known service
     free = 0            # completion block of the latest packet with a known service
-    last_slot = -1      # its last data block
     for lo, hi in _chunks(cfg.num_blocks):
         u = gen.random(hi - lo)
         arrivals = np.concatenate((arrivals, np.flatnonzero(u < gen_prob) + (lo + 1)))
         while True:
-            slots = walk.completions(len(arrivals) - len(services))
-            if len(slots):
-                new = np.diff(slots, prepend=last_slot)
-                k = len(services)
-                services = np.concatenate((services, new))
-                done = np.concatenate((done, _fcfs(arrivals[k:len(services)], new, free)))
+            k, m = len(done), min(len(arrivals), len(services))
+            if m > k:
+                done = np.concatenate((done, _fcfs(arrivals[k:m], services[k:m], free)))
                 free = int(done[-1])
-                last_slot = int(slots[-1])
             head = None
-            if len(services) == len(arrivals):
+            if m == len(arrivals):
                 break
             # the next packet is in service from block ``head`` on, one data block
             # per block: draw its data blocks up to the end of the chunk
-            head = max(int(arrivals[len(services)]), free + 1)
-            need = hi - head + 1 - (walk.fed - last_slot - 1)
+            head = max(int(arrivals[m]), free + 1)
+            need = hi - head + 1 - (walk.fed - walk.last - 1)
             if need <= 0:
                 break
             gain = sample_gain(dl_stream, lam, need)
-            walk.feed(per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode))
-        starts, ends = done - services + 1, done
+            _, new = walk.completions(per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode))
+            services = np.concatenate((services, new))
+        starts, ends = done - services[: len(done)] + 1, done
         if head is not None:
             starts, ends = np.append(starts, head), np.append(ends, hi)
         busy = _mark_busy(starts, ends, lo, hi)
@@ -566,11 +534,11 @@ def _mark_busy(starts, ends, lo: int, hi: int):
     return np.cumsum(delta[1 : c + 1]) > 0
 
 
-def _uplink_and_summary(params: SystemParams, rho: float, cfg: SimConfig, rep: int, downlink):
-    """The device's uplink from its banked energy, then the replication summary.
+def _replication(params: SystemParams, rho: float, cfg: SimConfig, downlink, rep: int):
+    """One replication: the scheme's downlink, the device's uplink, the summary.
 
-    Both schemes share this half. ``downlink`` yields, for each chunk of
-    blocks lo+1..hi from :func:`_chunks`, ``(lo, hi, dl, harvest, busy)``:
+    The uplink half is shared. ``downlink(cfg, rep)`` yields, for each chunk
+    of blocks lo+1..hi from :func:`_chunks`, ``(lo, hi, dl, harvest, busy)``:
     the downlink's (delivery blocks, system times, service times), the
     energy banked in each block, and the time-split data blocks, in which
     nothing is harvested (None under power splitting). ``rho`` fixes the
@@ -592,13 +560,13 @@ def _uplink_and_summary(params: SystemParams, rho: float, cfg: SimConfig, rep: i
     with open(cfg.trace_path, "w", encoding="utf-8") if tracing else nullcontext() as trace:
         if trace is not None:
             trace.write(_TRACE_HEADER)
-        for lo, hi, dl_chunk, harvest, busy in downlink:
+        for lo, hi, dl_chunk, harvest, busy in downlink(cfg, rep):
             energy_cum = np.cumsum(np.concatenate(([schedule.energy], harvest)))[1:]
             sent = schedule.sent
             tx, gaps = _transmit_schedule(energy_cum, threshold, schedule)
             gain = sample_gain(ul_stream, lam, len(tx))
-            walk.feed(per_block_uplink_nats(params, rho, gain, cfg.snr_mode))
-            ul_blocks = tx[walk.completions(len(tx)) - sent]
+            slots, _ = walk.completions(per_block_uplink_nats(params, rho, gain, cfg.snr_mode))
+            ul_blocks = tx[slots - sent]
             ul_services = np.diff(ul_blocks, prepend=ul_last)
             if len(ul_blocks):
                 ul_last = int(ul_blocks[-1])
@@ -677,22 +645,27 @@ def run_power_splitting(params: SystemParams, rho: float, config: SimConfig) -> 
         raise ValueError(f"rho must be in (0, 1) for a simulation run, got {rho!r}")
     if config.scheme != "power_split":
         raise ValueError("config.scheme must be 'power_split' for run_power_splitting")
-    return _run(_ps_replication, params, rho, config)
+    return _run(params, rho, config, partial(_ps_downlink, params, rho))
 
 
 def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig) -> SimReport:
     """Simulate the time-splitting baseline at packet generation probability ``gen_prob``."""
-    if ts_equivalent_rho(gen_prob, params.theta) <= 0.0:  # also validates stability
+    rho_ts = ts_equivalent_rho(gen_prob, params.theta)    # also validates stability
+    if rho_ts <= 0.0:
         raise ValueError(
             f"gen_prob {gen_prob!r} saturates the downlink queue: no energy is "
             f"ever transferred and the uplink starves")
     if config.scheme != "time_split":
         raise ValueError("config.scheme must be 'time_split' for run_time_splitting")
-    return _run(_ts_replication, params, gen_prob, config)
+    if config.gen_prob != gen_prob:
+        raise ValueError(f"gen_prob {gen_prob!r} differs from config.gen_prob {config.gen_prob!r}")
+    return _run(params, rho_ts, config, partial(_ts_downlink, params, gen_prob))
 
 
-def _run(replication, params: SystemParams, x: float, config: SimConfig) -> SimReport:
-    outputs = _map_ordered(partial(replication, params, x, config), range(config.replications))
+def _run(params: SystemParams, rho: float, config: SimConfig, downlink) -> SimReport:
+    """Aggregate the replications; ``rho`` fixes the device power (see :func:`_replication`)."""
+    outputs = _map_ordered(partial(_replication, params, rho, config, downlink),
+                           range(config.replications))
     return _aggregate(params, config, outputs)
 
 

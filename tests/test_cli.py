@@ -290,8 +290,9 @@ def test_malformed_config_value(tmp_path, capsys):
     assert "total_power" in err
 
 
+# gen_prob: power splitting, the default scheme, takes none
 @pytest.mark.parametrize("key,raw", [("num_blocks", "abc"), ("snr_mode", "approx"),
-                                     ("scheme", "foo")])
+                                     ("scheme", "foo"), ("gen_prob", "0.01")])
 def test_bad_value_is_validation_error_by_flag_and_by_config(tmp_path, capsys, key, raw):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"num_blocks = 2000\n{key} = {raw}\n")

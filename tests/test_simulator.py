@@ -307,33 +307,32 @@ _NATS = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3]), st.floats(0.0, 5.0))
 
 @settings(max_examples=300, deadline=None)
 @given(nats=st.lists(_NATS, max_size=60),
-       packet_nats=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 12.0)),
-       limit=st.integers(0, 70))
-def test_walk_matches_searchsorted_reference(nats, packet_nats, limit):
+       packet_nats=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 12.0)))
+def test_walk_matches_searchsorted_reference(nats, packet_nats):
     cum = np.cumsum(np.asarray(nats, dtype=np.float64))
-    # the drawn limit, and one above any possible number of completions
-    for lim in (limit, len(nats) + 1):
-        got = _walk_packets(cum, packet_nats, lim)
-        assert got.dtype == np.int64
-        assert got.tolist() == _walk_reference(cum, packet_nats, lim)
+    got = _walk_packets(cum, packet_nats)
+    assert got.dtype == np.int64
+    # a limit above any possible number of completions
+    assert got.tolist() == _walk_reference(cum, packet_nats, len(nats) + 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(nats=st.lists(_NATS, max_size=200),
        packet_nats=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 12.0)),
-       cuts=st.lists(st.integers(0, 200), max_size=8),
-       limits=st.lists(st.integers(0, 20), min_size=9, max_size=9))
-def test_walk_fed_in_pieces_matches_one_walk(nats, packet_nats, cuts, limits):
+       cuts=st.lists(st.integers(0, 200), max_size=8))
+def test_walk_fed_in_pieces_matches_one_walk(nats, packet_nats, cuts):
     nats = np.asarray(nats, dtype=np.float64)
     walk = simulator._Walk(packet_nats)
-    got = []
-    # walks between feeds stop at a limit (as the time-split queue does) or run dry
-    for piece, limit in zip(np.split(nats, sorted(min(c, len(nats)) for c in cuts)), limits):
-        walk.feed(piece)
-        got += walk.completions(limit).tolist()
-    got += walk.completions(len(nats) + 1).tolist()
+    got, services = [], []
+    for piece in np.split(nats, sorted(min(c, len(nats)) for c in cuts)):
+        slots, served = walk.completions(piece)
+        got += slots.tolist()
+        services += served.tolist()
     cum = np.cumsum(nats)
-    assert got == _walk_packets(cum, packet_nats, len(nats) + 1).tolist()
+    whole = _walk_packets(cum, packet_nats)
+    assert got == whole.tolist()
+    assert services == np.diff(whole, prepend=-1).tolist()
+    assert walk.fed == len(nats)
     assert walk.total == (float(cum[-1]) if len(cum) else 0.0)   # one sequential sum
 
 
@@ -487,12 +486,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="stable"):
         run_time_splitting(REF, 0.2, SimConfig(num_blocks=100, scheme="time_split",
                                                gen_prob=0.2))
+    with pytest.raises(ValueError, match="config.gen_prob"):
+        run_time_splitting(REF, 0.01, SimConfig(num_blocks=100, scheme="time_split",
+                                                gen_prob=0.02))
 
 
 def test_energy_causality_violation_is_numerical_failure():
     # a cumulative path that falls back below a crossing it already made
     with pytest.raises(ArithmeticError, match="energy causality"):
-        _transmit_schedule(np.array([0.3, 3.9, 2.6, 3.8, 1.4, 3.0]), 1.0)
+        _transmit_schedule(np.array([0.3, 3.9, 2.6, 3.8, 1.4, 3.0]), 1.0, simulator._Schedule())
 
 
 def test_warmup_default_is_one_percent():
