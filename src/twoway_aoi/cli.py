@@ -26,9 +26,9 @@ from .analytic import (
     ts_equivalent_rho,
     weighted_sum_aoi,
 )
-from .model import SNR_MODES, SystemParams, derive_constants
+from .model import SystemParams, derive_constants
 from .optimizer import OptOptions, sweep_w
-from .simulator import SCHEMES, SimConfig, run_power_splitting, run_time_splitting
+from .simulator import SimConfig, run_power_splitting, run_time_splitting
 
 __all__ = ["main", "RunSpec", "build_parser", "load_config"]
 
@@ -53,17 +53,16 @@ def _field_keys(cls, skip=()) -> dict:
 
 
 _PARAM_KEYS = _field_keys(SystemParams)
+# the horizon gets a CLI default; the trace dump stays a library feature
+_SIM_KEYS = {**_field_keys(SimConfig, skip={"trace_path"}), "num_blocks": (int, 1_000_000)}
 _OPT_KEYS = _field_keys(OptOptions)
 # Every config key and flag, in header order, with its parser and default.
-# The simulation keys are SimConfig's fields (the horizon gets a CLI
-# default; the trace dump stays a library feature).
 _KEYS = {
     **_PARAM_KEYS,
     "rho_grid": (_grid, (0.5,)),
     "w_grid": (_grid, (0.5,)),
     "p_grid": (_grid, (0.01,)),
-    **_field_keys(SimConfig, skip={"trace_path"}),
-    "num_blocks": (int, 1_000_000),
+    **_SIM_KEYS,
     **_OPT_KEYS,
 }
 
@@ -77,13 +76,7 @@ class RunSpec:
     rho_grid: tuple[float, ...]
     w_grid: tuple[float, ...]
     p_grid: tuple[float, ...]
-    num_blocks: int
-    seed: int
-    warmup_blocks: int
-    snr_mode: str
-    replications: int
-    scheme: str
-    gen_prob: float | None
+    sim: SimConfig
     opt: OptOptions
     output: str | None
 
@@ -154,14 +147,12 @@ def merge_spec(args: argparse.Namespace) -> RunSpec:
     for key in _KEYS:
         if getattr(args, key) is not None:
             merged[key] = _parse(key, getattr(args, key))
-    for key, allowed in (("scheme", SCHEMES), ("snr_mode", SNR_MODES)):
-        if merged[key] not in allowed:
-            raise ValueError(f"{key} must be one of {allowed}, got {merged[key]!r}")
     params = SystemParams(**{key: merged.pop(key) for key in _PARAM_KEYS})
+    sim = SimConfig(**{key: merged.pop(key) for key in _SIM_KEYS})
+    sim = replace(sim, warmup_blocks=sim.resolved_warmup())
     opt = OptOptions(**{key: merged.pop(key) for key in _OPT_KEYS})
-    merged["warmup_blocks"] = SimConfig(
-        num_blocks=merged["num_blocks"], warmup_blocks=merged["warmup_blocks"]).resolved_warmup()
-    return RunSpec(command=args.command, params=params, opt=opt, output=args.output, **merged)
+    return RunSpec(command=args.command, params=params, sim=sim, opt=opt,
+                   output=args.output, **merged)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +175,7 @@ def _text(value) -> str:
 
 
 def _spec_header(spec: RunSpec) -> list[str]:
-    values = {**vars(spec), **vars(spec.params), **vars(spec.opt)}
+    values = {**vars(spec), **vars(spec.params), **vars(spec.sim), **vars(spec.opt)}
     return [f"## twoway-aoi {__version__}", f"## command: {spec.command}"] + [
         f"# {key} = {_text(values[key])}" for key in _KEYS if values[key] is not None]
 
@@ -241,18 +232,6 @@ def cmd_optimize(spec: RunSpec) -> int:
     return 0
 
 
-def _sim_config(spec: RunSpec, scheme: str, gen_prob: float | None) -> SimConfig:
-    return SimConfig(
-        num_blocks=spec.num_blocks,
-        seed=spec.seed,
-        warmup_blocks=spec.warmup_blocks,
-        snr_mode=spec.snr_mode,
-        replications=spec.replications,
-        scheme=scheme,
-        gen_prob=gen_prob,
-    )
-
-
 _SIM_COLUMNS = [
     "replication", "mean_dl_aoi", "mean_ul_aoi", "weighted_aoi", "dl_rate",
     "ul_rate", "std_error_dl_aoi", "std_error_ul_aoi", "blocks_simulated",
@@ -267,7 +246,7 @@ def _sim_rows(spec: RunSpec, report) -> list[list]:
     for i, rep in enumerate(report.per_replication):
         weighted = (1.0 - w) * rep.mean_dl_aoi + w * rep.mean_ul_aoi
         rows.append([i, rep.mean_dl_aoi, rep.mean_ul_aoi, weighted, rep.dl_rate,
-                     rep.ul_rate, None, None, spec.num_blocks,
+                     rep.ul_rate, None, None, spec.sim.num_blocks,
                      rep.energy_block_fraction, rep.final_buffer_joules,
                      None, None, None])
     rows.append(["aggregate", report.mean_dl_aoi, report.mean_ul_aoi,
@@ -297,14 +276,13 @@ def _warn_censored(report, run: str) -> None:
 
 
 def cmd_simulate(spec: RunSpec) -> int:
-    # SimConfig rejects a gen_prob under power splitting
-    config = _sim_config(spec, spec.scheme, spec.gen_prob)
-    if spec.scheme == "time_split":
-        report = run_time_splitting(spec.params, spec.gen_prob, config)
+    sim = spec.sim
+    if sim.scheme == "time_split":
+        report = run_time_splitting(spec.params, sim.gen_prob, sim)
     else:
-        report = run_power_splitting(spec.params, spec.params.split_ratio, config)
+        report = run_power_splitting(spec.params, spec.params.split_ratio, sim)
     _emit(spec, _SIM_COLUMNS, _sim_rows(spec, report))
-    _warn_censored(report, spec.scheme)
+    _warn_censored(report, sim.scheme)
     return 0
 
 
@@ -315,9 +293,9 @@ def cmd_compare(spec: RunSpec) -> int:
     rows = []
     for p in spec.p_grid:
         rho_ts = ts_equivalent_rho(p, theta)
-        ts = run_time_splitting(spec.params, p, _sim_config(spec, "time_split", p))
-        ps_params = replace(spec.params, split_ratio=rho_ts)
-        ps = run_power_splitting(ps_params, rho_ts, _sim_config(spec, "power_split", None))
+        ts = run_time_splitting(spec.params, p, replace(spec.sim, scheme="time_split", gen_prob=p))
+        ps = run_power_splitting(spec.params, rho_ts,
+                                 replace(spec.sim, scheme="power_split", gen_prob=None))
         _warn_censored(ts, f"time_split at p = {p!r}")
         _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
         r_ps = (1.0 - w) * ps.dl_rate + w * ps.ul_rate

@@ -185,7 +185,7 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
 
     if not converged:
         if method == "bisection":
-            # re-bracket around the best iterate using the global bracket
+            # fall back to bisecting the whole admissible interval [lo, hi]
             rho, iterations, converged = _bisect(
                 params, w, lo, hi, opts, trace, iterations)
             obj = _objective(params, rho, w)

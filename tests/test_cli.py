@@ -103,21 +103,25 @@ _SPEC_FLAGS = st.fixed_dictionaries({
     "--num-blocks": st.integers(1, 10**7),
     "--seed": st.integers(0, 2**32),
     "--snr-mode": st.sampled_from(["exact", "linear"]),
-    "--scheme": st.sampled_from(["power_split", "time_split"]),
-    "--gen-prob": _floats(1e-4, 0.03),
     "--rho-init": _floats(0.01, 0.99),
     "--max-iters": st.integers(1, 100),
     "--tol": _floats(1e-12, 1e-3),
     "--boundary-eps": _floats(1e-6, 0.1),
 }).map(lambda flags: [str(tok) for kv in flags.items() for tok in kv])
 
+# a gen_prob goes with the time-split scheme only; SimConfig rejects any other pairing
+_SCHEME_FLAGS = st.one_of(
+    st.just(["--scheme", "power_split"]),
+    _floats(1e-4, 0.03).map(lambda p: ["--scheme", "time_split", "--gen-prob", str(p)]))
+
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["analytic", "optimize"]), flags=_SPEC_FLAGS)
-def test_header_round_trip_random_specs(tmp_path, command, flags):
+@given(command=st.sampled_from(["analytic", "optimize"]), flags=_SPEC_FLAGS,
+       scheme_flags=_SCHEME_FLAGS)
+def test_header_round_trip_random_specs(tmp_path, command, flags, scheme_flags):
     out1, cfg, out2 = tmp_path / "a.csv", tmp_path / "replay.cfg", tmp_path / "b.csv"
-    code = main([command, *flags, "--output", str(out1)])
+    code = main([command, *flags, *scheme_flags, "--output", str(out1)])
     assert code in (0, 2)              # 2: the optimizer may stop short at small max_iters
     text = out1.read_text()
     stripped = [ln[2:] if ln.startswith("# ") else ln for ln in header_lines(text)]
@@ -302,6 +306,22 @@ def test_bad_value_is_validation_error_by_flag_and_by_config(tmp_path, capsys, k
         assert code == 1
         assert out == ""
         assert key in err
+
+
+# every command builds its SimConfig, so every command checks the scheme's gen_prob
+@pytest.mark.parametrize("command", ["analytic", "optimize", "compare"])
+@pytest.mark.parametrize("key,raw", [("gen_prob", "0.3"), ("scheme", "time_split")],
+                         ids=["gen_prob_under_power_split", "time_split_without_gen_prob"])
+def test_scheme_gen_prob_mismatch_is_validation_error(tmp_path, capsys, command, key, raw):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"p_grid = 0.005\nnum_blocks = 2000\n{key} = {raw}\n")
+    by_flag = [command, "--p-grid", "0.005", "--num-blocks", "2000",
+               f"--{key.replace('_', '-')}", raw]
+    for argv in (by_flag, [command, "--config", str(cfg)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "gen_prob" in err
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--bogus", "1"], []],

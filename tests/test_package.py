@@ -1,0 +1,34 @@
+"""The package root: it exports each module's ``__all__`` and nothing else."""
+
+import twoway_aoi
+from twoway_aoi import analytic, model, optimizer, simulator
+
+# the names the root exported while it listed them by hand
+_EXPORTED_BEFORE = [
+    "AoiBreakdown", "DerivedLoads", "MomentPair", "OptOptions", "OptResult",
+    "ReplicationStats", "SimConfig", "SimReport", "SweepPoint", "SystemParams",
+    "aoi_from_path", "aoi_gradient", "aoi_second_derivative", "aoi_via_qk",
+    "avg_downlink_aoi", "avg_uplink_aoi", "data_rates", "derive_constants",
+    "downlink_service_moments", "downlink_service_pmf", "harvest_slot_moments",
+    "harvest_slot_pmf", "harvested_energy", "make_stream", "newton_solve",
+    "per_block_downlink_nats", "per_block_uplink_nats", "renewal_aoi",
+    "run_power_splitting", "run_time_splitting", "sample_gain", "sweep_w",
+    "ts_equivalent_rho", "uplink_energy_threshold", "uplink_service_moments",
+    "weighted_sum_aoi", "__version__",
+]
+
+
+def test_all_is_the_union_of_the_module_lists():
+    modules = (analytic, model, optimizer, simulator)
+    expected = {name for module in modules for name in module.__all__} | {"__version__"}
+    assert len(twoway_aoi.__all__) == len(set(twoway_aoi.__all__))
+    assert set(twoway_aoi.__all__) == expected
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(twoway_aoi, name) is getattr(module, name)
+
+
+def test_earlier_exports_still_resolve():
+    for name in _EXPORTED_BEFORE:
+        assert name in twoway_aoi.__all__
+        assert hasattr(twoway_aoi, name)
