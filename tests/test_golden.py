@@ -3,9 +3,10 @@
 The determinism tests elsewhere compare a run with itself, so they cannot
 notice a refactor that changes a printed digit; these tests compare each
 run with bytes recorded in ``tests/golden/``. The cases cover both
-boundary and bisection rows of ``optimize``, both schemes, the exact SNR
-mode, several replications, a time-split walk that ends on the
-unfinished-packet sentinel, and per-epoch trace dumps of both schemes.
+boundary and bisection rows of ``optimize``, a 1001-weight ``optimize``
+grid, both schemes, the exact SNR mode, several replications, a
+time-split walk that ends on the unfinished-packet sentinel, and
+per-epoch trace dumps of both schemes.
 Every case runs twice: at the default chunk size, which holds each recorded
 horizon in one chunk, and at 97 blocks, which crosses many chunk boundaries.
 
@@ -32,6 +33,8 @@ CLI_CASES = {
     "analytic": ["analytic", "--rho-grid", "0,0.05,0.3,0.5,0.8,1",
                  "--w-grid", "0,0.25,1", "--harvest-eff", "0.3"],
     "optimize": ["optimize", "--w-grid", ",".join(str(i / 10) for i in range(11))],
+    # the line search accepts on the objective's last bit, so a fine grid pins its digits
+    "optimize_fine": ["optimize", "--w-grid", ",".join(str(i / 1000) for i in range(1001))],
     "optimize_bisection": ["optimize", "--w-grid", "0.1,0.5,0.9", "--tol", "0.05",
                            "--rho-init", "0.01"],
     "simulate_power_split": ["simulate", "--scheme", "power_split", "--num-blocks", "30000",
