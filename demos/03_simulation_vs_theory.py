@@ -7,14 +7,13 @@ renewal composition is the one the sample paths follow (the published
 expression sits exactly half a block lower).
 """
 
-import math
-
 from twoway_aoi import SimConfig, SystemParams, derive_constants, run_power_splitting
 from twoway_aoi.analytic import (
     avg_downlink_aoi,
     avg_uplink_aoi,
     data_rates,
     downlink_service_pmf,
+    harvest_slot_moments,
     harvest_slot_pmf,
 )
 
@@ -55,4 +54,4 @@ tv = 0.5 * sum(abs(hist.get(j, 0) / total - harvest_slot_pmf(eta, j)
                for j in range(1, max(hist) + 10))
 print(f"harvest-slot TV distance:     {tv:.5f}  ({total} transmit blocks)")
 print(f"mean harvest slots: {sum(j * c for j, c in hist.items()) / total:.5f} "
-      f"(analytic {1 / eta + math.exp(-1 / eta):.5f})")
+      f"(analytic {harvest_slot_moments(eta).m1:.5f})")

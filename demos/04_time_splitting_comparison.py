@@ -12,7 +12,7 @@ harvesting is interrupted by downlink busy periods.
 from dataclasses import replace
 
 from twoway_aoi import SimConfig, SystemParams, run_power_splitting, run_time_splitting
-from twoway_aoi.analytic import ts_equivalent_rho
+from twoway_aoi.analytic import ts_equivalent_rho, weighted_sum
 
 params = SystemParams()
 w = params.weight_uplink
@@ -26,8 +26,8 @@ for p in (0.002, 0.005, 0.008, 0.012, 0.015):
                             SimConfig(num_blocks=n, seed=7, scheme="time_split", gen_prob=p))
     ps = run_power_splitting(replace(params, split_ratio=rho_ts), rho_ts,
                              SimConfig(num_blocks=n, seed=7))
-    r_ts = (1 - w) * ts.dl_rate + w * ts.ul_rate
-    r_ps = (1 - w) * ps.dl_rate + w * ps.ul_rate
+    r_ts = weighted_sum(w, ts.dl_rate, ts.ul_rate)
+    r_ps = weighted_sum(w, ps.dl_rate, ps.ul_rate)
     print(f"{p:>7.3f} {rho_ts:>8.3f} {ts.energy_block_fraction:>8.4f} "
           f"{r_ts:>10.6f} {r_ps:>10.6f} {ts.weighted_aoi:>9.1f} {ps.weighted_aoi:>9.1f}")
 

@@ -33,6 +33,7 @@ __all__ = [
     "harvest_slot_moments",
     "uplink_service_moments",
     "avg_uplink_aoi",
+    "weighted_sum",
     "weighted_sum_aoi",
     "data_rates",
     "ts_equivalent_rho",
@@ -116,8 +117,7 @@ def harvest_slot_pmf(eta: float, j: int) -> float:
         raise ValueError(f"eta must be > 0, got {eta!r}")
     if j < 0 or int(j) != j:
         raise ValueError(f"j must be a nonnegative integer, got {j!r}")
-    mu = 1.0 / eta
-    return math.exp(j * math.log(mu) - mu - math.lgamma(j + 1)) if j else math.exp(-mu)
+    return math.exp(_shifted_poisson_log_pmf(1.0 / eta, j + 1))
 
 
 def harvest_slot_moments(eta: float) -> MomentPair:
@@ -154,8 +154,6 @@ def avg_uplink_aoi(ul_load: float, eta: float, form: str = "renewal") -> float:
     """
     if form not in UPLINK_FORMS:
         raise ValueError(f"form must be one of {UPLINK_FORMS}, got {form!r}")
-    if math.isinf(ul_load):
-        return math.inf
     if form == "renewal":
         return renewal_aoi(uplink_service_moments(ul_load, eta))
     count_mean = 1.0 + ul_load
@@ -166,27 +164,31 @@ def avg_uplink_aoi(ul_load: float, eta: float, form: str = "renewal") -> float:
             - 0.5 * a / count_mean)
 
 
-def weighted_sum_aoi(params: SystemParams, rho: float, w: float) -> AoiBreakdown:
-    """Weighted-sum average age (1 - w) * downlink + w * uplink at a given split.
+def weighted_sum(w: float, downlink: float, uplink: float) -> float:
+    """The objective's rule (1 - w) * downlink + w * uplink, for ages or rates.
 
-    Unbounded loads propagate: the result is infinite when rho = 1 with
-    w < 1, or rho = 0 with w > 0. At w exactly 0 or 1 the starved side is
-    excluded rather than multiplied by zero.
+    At w exactly 0 or 1 the other side is left out rather than multiplied
+    by zero, so a starved side's infinite age does not turn it into nan.
     """
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must be in [0, 1], got {rho!r}")
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"w must be in [0, 1], got {w!r}")
+    if w == 0.0:
+        return downlink
+    if w == 1.0:
+        return uplink
+    return (1.0 - w) * downlink + w * uplink
+
+
+def weighted_sum_aoi(params: SystemParams, rho: float, w: float) -> AoiBreakdown:
+    """Weighted-sum average age of both directions at a given split.
+
+    Unbounded loads propagate: the result is infinite when rho = 1 with
+    w < 1, or rho = 0 with w > 0.
+    """
     loads = derive_constants(params, rho)
     dl = avg_downlink_aoi(loads.dl_load)
     ul = avg_uplink_aoi(loads.ul_load, params.harvest_eff)
-    if w == 0.0:
-        weighted = dl
-    elif w == 1.0:
-        weighted = ul
-    else:
-        weighted = (1.0 - w) * dl + w * ul
-    return AoiBreakdown(downlink=dl, uplink=ul, weighted=weighted, rho=rho, w=w)
+    return AoiBreakdown(downlink=dl, uplink=ul, weighted=weighted_sum(w, dl, ul), rho=rho, w=w)
 
 
 def data_rates(params: SystemParams, rho: float) -> tuple[float, float]:
@@ -196,11 +198,8 @@ def data_rates(params: SystemParams, rho: float) -> tuple[float, float]:
     side (rho at the boundary) has rate zero.
     """
     loads = derive_constants(params, rho)
-    dl_m1 = downlink_service_moments(loads.dl_load).m1 if math.isfinite(loads.dl_load) else math.inf
-    ul_m1 = uplink_service_moments(loads.ul_load, params.harvest_eff).m1
-    dl_rate = 0.0 if math.isinf(dl_m1) else 1.0 / dl_m1
-    ul_rate = 0.0 if math.isinf(ul_m1) else 1.0 / ul_m1
-    return dl_rate, ul_rate
+    return (1.0 / downlink_service_moments(loads.dl_load).m1,
+            1.0 / uplink_service_moments(loads.ul_load, params.harvest_eff).m1)
 
 
 def ts_equivalent_rho(p: float, theta: float) -> float:

@@ -24,6 +24,7 @@ from .analytic import (
     avg_uplink_aoi,
     data_rates,
     ts_equivalent_rho,
+    weighted_sum,
     weighted_sum_aoi,
 )
 from .model import SystemParams, derive_constants
@@ -119,7 +120,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="twoway-aoi",
+        prog="twoway-aoi", allow_abbrev=False,
         description="Age-of-information analytics, optimization, and simulation "
                     "for the power-splitting two-way exchange link.")
     parser.add_argument("--version", action="version", version=f"twoway-aoi {__version__}")
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "Monte Carlo run of one scheme"),
         ("compare", "time-splitting vs power-splitting over a p grid"),
     ]:
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key = value config file")
         cmd.add_argument("--output", help="CSV output path (default: stdout)")
         # values stay strings here: _parse checks flags and config lines alike
@@ -244,7 +245,7 @@ def _sim_rows(spec: RunSpec, report) -> list[list]:
     w = spec.params.weight_uplink
     rows = []
     for i, rep in enumerate(report.per_replication):
-        weighted = (1.0 - w) * rep.mean_dl_aoi + w * rep.mean_ul_aoi
+        weighted = weighted_sum(w, rep.mean_dl_aoi, rep.mean_ul_aoi)
         rows.append([i, rep.mean_dl_aoi, rep.mean_ul_aoi, weighted, rep.dl_rate,
                      rep.ul_rate, None, None, spec.sim.num_blocks,
                      rep.energy_block_fraction, rep.final_buffer_joules,
@@ -298,9 +299,8 @@ def cmd_compare(spec: RunSpec) -> int:
                                  replace(spec.sim, scheme="power_split", gen_prob=None))
         _warn_censored(ts, f"time_split at p = {p!r}")
         _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
-        r_ps = (1.0 - w) * ps.dl_rate + w * ps.ul_rate
-        r_ts = (1.0 - w) * ts.dl_rate + w * ts.ul_rate
-        rows.append([p, rho_ts, r_ps, r_ts, ps.weighted_aoi, ts.weighted_aoi])
+        rows.append([p, rho_ts, weighted_sum(w, ps.dl_rate, ps.ul_rate),
+                     weighted_sum(w, ts.dl_rate, ts.ul_rate), ps.weighted_aoi, ts.weighted_aoi])
     _emit(spec, columns, rows)
     return 0
 

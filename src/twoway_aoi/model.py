@@ -110,7 +110,6 @@ class DerivedLoads:
     theta: float
     dl_load: float          # theta / (1 - rho); inf at rho = 1
     ul_load: float          # lambda * theta * d**alpha / rho; inf at rho = 0
-    harvest_factor: float   # a = 1/eta + exp(-1/eta)
 
 
 def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
@@ -121,10 +120,7 @@ def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
     dl_load = math.inf if rho == 1.0 else theta / (1.0 - rho)
     y = params.channel_rate * theta * params._d_alpha
     ul_load = math.inf if rho == 0.0 else y / rho
-    eta = params.harvest_eff
-    harvest_factor = 1.0 / eta + math.exp(-1.0 / eta)
-    return DerivedLoads(theta=theta, dl_load=dl_load, ul_load=ul_load,
-                        harvest_factor=harvest_factor)
+    return DerivedLoads(theta=theta, dl_load=dl_load, ul_load=ul_load)
 
 
 def _per_block_nats(params: SystemParams, power: float, gain, mode: str):

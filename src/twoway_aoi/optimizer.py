@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analytic import weighted_sum_aoi
+from .analytic import harvest_slot_moments, weighted_sum_aoi
 from .model import SystemParams, derive_constants
 
 __all__ = [
@@ -81,7 +81,7 @@ def _constants(params: SystemParams, rho: float, w: float):
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"w must be in [0, 1], got {w!r}")
     loads = derive_constants(params, 1.0)   # the uplink load y / rho is y itself at rho = 1
-    return loads.theta, loads.harvest_factor, loads.ul_load
+    return loads.theta, harvest_slot_moments(params.harvest_eff).m1, loads.ul_load
 
 
 def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
@@ -129,8 +129,6 @@ def _bisect(params, w, lo, hi, opts, trace, iterations):
 
 def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None) -> OptResult:
     """Minimize the weighted-sum average age over rho for a fixed weight w."""
-    if not (0.0 <= w <= 1.0):
-        raise ValueError(f"w must be in [0, 1], got {w!r}")
     opts = opts or OptOptions()
     lo = opts.boundary_eps
     hi = 1.0 - opts.boundary_eps

@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import ts_equivalent_rho
+from .analytic import ts_equivalent_rho, weighted_sum
 from .model import (
     SNR_MODES,
     SystemParams,
@@ -457,7 +457,7 @@ def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
         nats = per_block_downlink_nats(params, rho, gain, cfg.snr_mode)
         slots, services = walk.completions(nats)
         harvest = harvested_energy(params, rho, sample_gain(hv_stream, lam, hi - lo))
-        yield lo, hi, (slots + 1, services, services), harvest, None
+        yield lo, hi, (slots + 1, services, services), harvest, np.zeros(hi - lo, dtype=bool)
 
 
 def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int):
@@ -465,11 +465,12 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
 
     The access point serves queued packets in arrival order at full power,
     one data block per block, and transfers energy while the queue is
-    empty. Downlink gains are indexed by data block and drawn only up to
-    the end of the current chunk, so at most one chunk's worth is drawn
-    beyond the data blocks served. A packet's service depends only on the
-    gains of the data blocks, not on its arrival, so the walk may finish
-    services of packets that have not arrived yet.
+    empty. Downlink gains are indexed by data block, and the draws stay one
+    chunk ahead of the data blocks served, the most a chunk can use: every
+    packet that completes by the end of a chunk has a known service. A
+    packet's service depends only on the gains of the data blocks, not on
+    its arrival, so the walk may finish services of packets that have not
+    arrived yet.
     """
     lam = params.channel_rate
     gen = make_stream(cfg.seed, rep, "packet_gen")
@@ -478,35 +479,26 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
     walk = _Walk(params.packet_nats)            # over data blocks
     arrivals = np.empty(0, dtype=np.int64)      # arrival blocks of the undelivered packets
     services = np.empty(0, dtype=np.int64)      # data blocks of those packets and the next ones
-    done = np.empty(0, dtype=np.int64)          # completion blocks of those with a known service
-    free = 0            # completion block of the latest packet with a known service
+    free = 0            # completion block of the latest delivered packet
+    used = 0            # data blocks served so far
     for lo, hi in _chunks(cfg.num_blocks):
         u = gen.random(hi - lo)
         arrivals = np.concatenate((arrivals, np.flatnonzero(u < gen_prob) + (lo + 1)))
-        while True:
-            k, m = len(done), min(len(arrivals), len(services))
-            if m > k:
-                done = np.concatenate((done, _fcfs(arrivals[k:m], services[k:m], free)))
-                free = int(done[-1])
-            head = None
-            if m == len(arrivals):
-                break
-            # the next packet is in service from block ``head`` on, one data block
-            # per block: draw its data blocks up to the end of the chunk
-            head = max(int(arrivals[m]), free + 1)
-            need = hi - head + 1 - (walk.fed - walk.last - 1)
-            if need <= 0:
-                break
-            gain = sample_gain(dl_stream, lam, need)
-            _, new = walk.completions(per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode))
-            services = np.concatenate((services, new))
-        starts, ends = done - services[: len(done)] + 1, done
-        if head is not None:
+        gain = sample_gain(dl_stream, lam, max(used + hi - lo - walk.fed, 0))
+        _, new = walk.completions(per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode))
+        services = np.concatenate((services, new))
+        m = min(len(arrivals), len(services))
+        done = _fcfs(arrivals[:m], services[:m], free)
+        starts, ends = done - services[:m] + 1, done
+        if m < len(arrivals):   # the next packet outlasts the draws: busy from its start on
+            head = max(int(arrivals[m]), (int(done[-1]) if m else free) + 1)
             starts, ends = np.append(starts, head), np.append(ends, hi)
         busy = _mark_busy(starts, ends, lo, hi)
-        m = int(np.searchsorted(done, hi, side="right"))
-        dl = (done[:m], done[:m] - (arrivals[:m] - 1), services[:m])
-        arrivals, services, done = arrivals[m:], services[m:], done[m:]
+        used += int(busy.sum())
+        k = int(np.searchsorted(done, hi, side="right"))
+        dl = (done[:k], done[:k] - (arrivals[:k] - 1), services[:k])
+        free = int(done[k - 1]) if k else free
+        arrivals, services = arrivals[k:], services[k:]
         harvest = harvested_energy(params, 1.0, sample_gain(hv_stream, lam, hi - lo))
         harvest[busy] = 0.0     # full power while idle, nothing while sending
         yield lo, hi, dl, harvest, busy
@@ -540,10 +532,10 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, downlink, rep
     The uplink half is shared. ``downlink(cfg, rep)`` yields, for each chunk
     of blocks lo+1..hi from :func:`_chunks`, ``(lo, hi, dl, harvest, busy)``:
     the downlink's (delivery blocks, system times, service times), the
-    energy banked in each block, and the time-split data blocks, in which
-    nothing is harvested (None under power splitting). ``rho`` fixes the
-    device transmit power and so the energy threshold. Replication 0
-    streams the trace dump, if the config asks for one.
+    energy banked in each block, and the mask of time-split data blocks, in
+    which nothing is harvested (all false under power splitting). ``rho``
+    fixes the device transmit power and so the energy threshold.
+    Replication 0 streams the trace dump, if the config asks for one.
     """
     n = cfg.num_blocks
     warmup = cfg.resolved_warmup()
@@ -578,10 +570,7 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, downlink, rep
             ul.add(ul_blocks, ul_services, ul_services, lo, hi)
             gap_tx = tx[len(tx) - len(gaps):]
             slot_counts = _count(slot_counts, gaps[gap_tx > warmup])
-            if busy is None:
-                energy_blocks += max(hi - max(lo, warmup), 0)
-            else:
-                energy_blocks += int((~busy[max(warmup - lo, 0):]).sum())
+            energy_blocks += int((~busy[max(warmup - lo, 0):]).sum())
 
     span = n - warmup
     stats = ReplicationStats(
@@ -616,7 +605,6 @@ def _aggregate(params, cfg, rep_outputs) -> SimReport:
     ul_means = np.array([s.mean_ul_aoi for s in stats])
     mean_dl = float(dl_means.mean())
     mean_ul = float(ul_means.mean())
-    w = params.weight_uplink
     if r > 1:
         se_dl = float(dl_means.std(ddof=1) / math.sqrt(r))
         se_ul = float(ul_means.std(ddof=1) / math.sqrt(r))
@@ -625,7 +613,7 @@ def _aggregate(params, cfg, rep_outputs) -> SimReport:
     return SimReport(
         mean_dl_aoi=mean_dl,
         mean_ul_aoi=mean_ul,
-        weighted_aoi=(1.0 - w) * mean_dl + w * mean_ul,
+        weighted_aoi=weighted_sum(params.weight_uplink, mean_dl, mean_ul),
         dl_rate=float(np.mean([s.dl_rate for s in stats])),
         ul_rate=float(np.mean([s.ul_rate for s in stats])),
         dl_service_hist=_merge_hists(out[1] for out in rep_outputs),
@@ -705,8 +693,7 @@ def _trace_frame(lo, hi, dl, ul, tx, energy_cum, sent, threshold, busy):
         ages.append(_age_path(blocks + 1, system + 1, hi, lo, tally.last))
         delivered.append(np.isin(epochs, np.append(blocks + 1, tally.last[0])))
     buffer = energy_cum - (sent + np.searchsorted(tx, epochs, side="right")) * threshold
-    energy_block = ~busy if busy is not None else np.ones(hi - lo, dtype=bool)
-    return epochs, *ages, buffer, *delivered, np.isin(epochs, tx), energy_block
+    return epochs, *ages, buffer, *delivered, np.isin(epochs, tx), ~busy
 
 
 def _write_trace(fh, frame):

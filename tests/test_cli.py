@@ -324,8 +324,9 @@ def test_scheme_gen_prob_mismatch_is_validation_error(tmp_path, capsys, command,
         assert "gen_prob" in err
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--bogus", "1"], []],
-                         ids=["unknown_flag", "missing_command"])
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--bogus", "1"], [], ["simulate", "--num", "2000"]],
+    ids=["unknown_flag", "missing_command", "abbreviated_flag"])
 def test_usage_error_is_validation_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from twoway_aoi.analytic import harvest_slot_moments
 from twoway_aoi.model import (
     SystemParams,
     derive_constants,
@@ -47,7 +48,8 @@ def test_derive_constants_reference():
     loads = derive_constants(REF, 0.5)
     assert loads.dl_load == pytest.approx(54.0, rel=1e-12)
     assert loads.ul_load == pytest.approx(3 * 27 * 1.5**2 / 0.5, rel=1e-12)
-    assert loads.harvest_factor == pytest.approx(2.0 + math.exp(-2.0), rel=1e-14)
+    a = harvest_slot_moments(REF.harvest_eff).m1
+    assert a == pytest.approx(2.0 + math.exp(-2.0), rel=1e-14)
 
 
 def test_derive_constants_zero_packet():
@@ -83,12 +85,12 @@ def test_load_times_rhobar_is_theta():
 
 
 def test_harvest_factor_limit():
-    # a -> 1 as eta grows; checked through derive_constants at eta = 1 and directly
-    a_eta1 = derive_constants(SystemParams(harvest_eff=1.0), 0.5).harvest_factor
+    # a = 1/eta + exp(-1/eta), the mean harvest slot, -> 1 as eta grows
+    a_eta1 = harvest_slot_moments(1.0).m1
     assert a_eta1 == pytest.approx(1.0 + math.exp(-1.0), rel=1e-14)
     assert a_eta1 >= 1.0
     for eta in (0.1, 0.3, 0.5, 0.9, 1.0):
-        assert derive_constants(SystemParams(harvest_eff=eta), 0.5).harvest_factor >= 1.0
+        assert harvest_slot_moments(eta).m1 >= 1.0
 
 
 def test_downlink_nats_examples():

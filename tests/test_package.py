@@ -1,5 +1,8 @@
 """The package root: it exports each module's ``__all__`` and nothing else."""
 
+import importlib.util
+from pathlib import Path
+
 import twoway_aoi
 from twoway_aoi import analytic, model, optimizer, simulator
 
@@ -32,3 +35,13 @@ def test_earlier_exports_still_resolve():
     for name in _EXPORTED_BEFORE:
         assert name in twoway_aoi.__all__
         assert hasattr(twoway_aoi, name)
+
+
+def test_benchmark_trace_boundaries_resolve():
+    # bench/run.py --trace 1 wraps these names in the calling module's namespace
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.BOUNDARIES:
+        assert callable(getattr(getattr(twoway_aoi, module), attr)), (module, attr)
