@@ -4,7 +4,8 @@ The determinism tests elsewhere compare a run with itself, so they cannot
 notice a refactor that changes a printed digit; these tests compare each
 run with bytes recorded in ``tests/golden/``. The cases cover both
 boundary and bisection rows of ``optimize``, a 1001-weight ``optimize``
-grid, both schemes, the exact SNR mode, several replications, a
+grid, a 101-weight ``optimize`` grid away from the reference point, both
+schemes, the exact SNR mode, several replications, a
 time-split walk that ends on the unfinished-packet sentinel, and
 per-epoch trace dumps of both schemes.
 Every case runs twice: at the default chunk size, which holds each recorded
@@ -37,6 +38,9 @@ CLI_CASES = {
     "optimize_fine": ["optimize", "--w-grid", ",".join(str(i / 1000) for i in range(1001))],
     "optimize_bisection": ["optimize", "--w-grid", "0.1,0.5,0.9", "--tol", "0.05",
                            "--rho-init", "0.01"],
+    # the other cases pin the reference point only
+    "optimize_params": ["optimize", "--w-grid", ",".join(str(i / 100) for i in range(101)),
+                        "--harvest-eff", "0.2", "--distance", "2.5", "--packet-nats", "10"],
     "simulate_power_split": ["simulate", "--scheme", "power_split", "--num-blocks", "30000",
                              "--seed", "3", "--replications", "2"],
     # at this seed the last arrival cannot finish within the horizon
