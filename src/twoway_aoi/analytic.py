@@ -7,6 +7,11 @@ blocks needed to bank enough energy per transmit block. Average ages
 follow the zero-wait renewal form  E(S) + 1/2 + E(S^2) / (2 E(S))  in
 discrete blocks.
 
+:class:`ClosedForms` holds what one parameter set fixes (theta, y =
+lambda theta d^alpha and the harvest-slot moments) and evaluates the rest
+per split ratio; the functions that take ``params`` build one per call, so
+both routes run the same float operations.
+
 Two uplink forms are exposed. ``renewal`` composes the compound moments
 with the renewal formula and is the default; ``literal`` reproduces the
 published closed expression, which is lower by exactly 1/2 (a constant
@@ -20,11 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import SystemParams, derive_constants
+from .model import SystemParams, derive_constants, split_loads
 
 __all__ = [
     "MomentPair",
     "AoiBreakdown",
+    "ClosedForms",
     "downlink_service_pmf",
     "downlink_service_moments",
     "renewal_aoi",
@@ -129,6 +135,16 @@ def harvest_slot_moments(eta: float) -> MomentPair:
     return MomentPair(mu + tail, mu * mu + mu + tail)
 
 
+def _compound_moments(ul_load: float, slot: MomentPair) -> MomentPair:
+    # the per-load part of uplink_service_moments; ``slot`` is the per-eta part
+    if math.isinf(ul_load):
+        return MomentPair(math.inf, math.inf)
+    count = downlink_service_moments(ul_load)
+    m1 = count.m1 * slot.m1
+    m2 = count.m1 * slot.m2 + (count.m2 - count.m1) * slot.m1 ** 2
+    return MomentPair(m1, m2)
+
+
 def uplink_service_moments(ul_load: float, eta: float) -> MomentPair:
     """Moments of the compound uplink service S_U = sum of S harvest slots.
 
@@ -136,13 +152,7 @@ def uplink_service_moments(ul_load: float, eta: float) -> MomentPair:
     Poisson with the uplink load. E(S_U) = E(S) E(s);
     E(S_U^2) = E(S) E(s^2) + E(S^2 - S) E(s)^2.
     """
-    if math.isinf(ul_load):
-        return MomentPair(math.inf, math.inf)
-    count = downlink_service_moments(ul_load)
-    slot = harvest_slot_moments(eta)
-    m1 = count.m1 * slot.m1
-    m2 = count.m1 * slot.m2 + (count.m2 - count.m1) * slot.m1 ** 2
-    return MomentPair(m1, m2)
+    return _compound_moments(ul_load, harvest_slot_moments(eta))
 
 
 def avg_uplink_aoi(ul_load: float, eta: float, form: str = "renewal") -> float:
@@ -179,15 +189,43 @@ def weighted_sum(w: float, downlink: float, uplink: float) -> float:
     return (1.0 - w) * downlink + w * uplink
 
 
+class ClosedForms:
+    """The closed forms of one parameter set as functions of the split ratio.
+
+    theta, y = lambda theta d^alpha and the harvest-slot moments of eta are
+    computed once, on construction; each method evaluates only the
+    rho-dependent arithmetic. Ages use the renewal uplink form.
+    """
+
+    def __init__(self, params: SystemParams):
+        loads = derive_constants(params, 1.0)
+        self.theta = loads.theta
+        self.y = loads.ul_load      # the uplink load y / rho is y itself at rho = 1
+        self.slot = harvest_slot_moments(params.harvest_eff)
+
+    def loads(self, rho: float) -> tuple[float, float]:
+        """(dl_load, ul_load) at split ``rho``; infinite at a boundary ratio."""
+        return split_loads(self.theta, self.y, rho)
+
+    def ages(self, rho: float) -> tuple[float, float]:
+        """Average (downlink, uplink) ages in blocks at split ``rho``."""
+        dl_load, ul_load = split_loads(self.theta, self.y, rho)
+        return avg_downlink_aoi(dl_load), renewal_aoi(_compound_moments(ul_load, self.slot))
+
+    def rates(self, rho: float) -> tuple[float, float]:
+        """Long-run (downlink, uplink) throughput in packets per block at split ``rho``."""
+        dl_load, ul_load = split_loads(self.theta, self.y, rho)
+        return (1.0 / downlink_service_moments(dl_load).m1,
+                1.0 / _compound_moments(ul_load, self.slot).m1)
+
+
 def weighted_sum_aoi(params: SystemParams, rho: float, w: float) -> AoiBreakdown:
     """Weighted-sum average age of both directions at a given split.
 
     Unbounded loads propagate: the result is infinite when rho = 1 with
     w < 1, or rho = 0 with w > 0.
     """
-    loads = derive_constants(params, rho)
-    dl = avg_downlink_aoi(loads.dl_load)
-    ul = avg_uplink_aoi(loads.ul_load, params.harvest_eff)
+    dl, ul = ClosedForms(params).ages(rho)
     return AoiBreakdown(downlink=dl, uplink=ul, weighted=weighted_sum(w, dl, ul), rho=rho, w=w)
 
 
@@ -197,9 +235,7 @@ def data_rates(params: SystemParams, rho: float) -> tuple[float, float]:
     Under zero wait the rate is the reciprocal mean service time; a starved
     side (rho at the boundary) has rate zero.
     """
-    loads = derive_constants(params, rho)
-    return (1.0 / downlink_service_moments(loads.dl_load).m1,
-            1.0 / uplink_service_moments(loads.ul_load, params.harvest_eff).m1)
+    return ClosedForms(params).rates(rho)
 
 
 def ts_equivalent_rho(p: float, theta: float) -> float:

@@ -26,6 +26,7 @@ __all__ = [
     "SystemParams",
     "DerivedLoads",
     "derive_constants",
+    "split_loads",
     "per_block_downlink_nats",
     "per_block_uplink_nats",
     "harvested_energy",
@@ -85,9 +86,9 @@ class SystemParams:
         """Path loss d**alpha, evaluated once per parameter set."""
         return self.distance ** self.pathloss_exp
 
-    @property
+    @cached_property
     def theta(self) -> float:
-        """Dimensionless base load: lambda * l * N0 * d**alpha / (P_t * T_B)."""
+        """Dimensionless base load: lambda * l * N0 * d**alpha / (P_t * T_B), evaluated once."""
         return (
             self.channel_rate
             * self.packet_nats
@@ -112,14 +113,23 @@ class DerivedLoads:
     ul_load: float          # lambda * theta * d**alpha / rho; inf at rho = 0
 
 
-def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
-    """Compute the dimensionless loads for a given power-splitting ratio."""
+def split_loads(theta: float, y: float, rho: float) -> tuple[float, float]:
+    """(dl_load, ul_load) = (theta / (1 - rho), y / rho), with y = lambda theta d**alpha.
+
+    The rho-dependent half of :func:`derive_constants`, for callers that keep
+    theta and y across many ratios.
+    """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho!r}")
+    return (math.inf if rho == 1.0 else theta / (1.0 - rho),
+            math.inf if rho == 0.0 else y / rho)
+
+
+def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
+    """Compute the dimensionless loads for a given power-splitting ratio."""
     theta = params.theta
-    dl_load = math.inf if rho == 1.0 else theta / (1.0 - rho)
     y = params.channel_rate * theta * params._d_alpha
-    ul_load = math.inf if rho == 0.0 else y / rho
+    dl_load, ul_load = split_loads(theta, y, rho)
     return DerivedLoads(theta=theta, dl_load=dl_load, ul_load=ul_load)
 
 

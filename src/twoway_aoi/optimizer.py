@@ -14,8 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analytic import harvest_slot_moments, weighted_sum_aoi
-from .model import SystemParams, derive_constants
+from .analytic import ClosedForms, weighted_sum
+from .model import SystemParams
+
+# bench/tracing.py wraps these names in this module's namespace; the solver
+# evaluates through ClosedForms, so the names are bound for the tracer only
+from .analytic import weighted_sum_aoi  # noqa: F401
+from .model import derive_constants  # noqa: F401
 
 __all__ = [
     "OptOptions",
@@ -74,14 +79,30 @@ class SweepPoint:
     result: OptResult
 
 
-def _constants(params: SystemParams, rho: float, w: float):
-    """(theta, a, y) of the derivative formulas, with y = lambda theta d^alpha."""
+def _check(rho: float, w: float) -> None:
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"w must be in [0, 1], got {w!r}")
-    loads = derive_constants(params, 1.0)   # the uplink load y / rho is y itself at rho = 1
-    return loads.theta, harvest_slot_moments(params.harvest_eff).m1, loads.ul_load
+
+
+def _gradient(forms: ClosedForms, rho: float, w: float) -> float:
+    theta, a, y = forms.theta, forms.slot.m1, forms.y
+    down = 1.5 * theta / (1.0 - rho) ** 2 + 0.5 * theta / (1.0 + theta - rho) ** 2
+    up = -1.5 * a * y / rho ** 2 - 0.5 * a * y / (rho + y) ** 2
+    return (1.0 - w) * down + w * up
+
+
+def _curvature(forms: ClosedForms, rho: float, w: float) -> float:
+    theta, a, y = forms.theta, forms.slot.m1, forms.y
+    down = 3.0 * theta / (1.0 - rho) ** 3 + theta / (1.0 + theta - rho) ** 3
+    up = a * y * (3.0 / rho ** 3 + 1.0 / (rho + y) ** 3)
+    return (1.0 - w) * down + w * up
+
+
+def _objective(forms: ClosedForms, rho: float, w: float) -> float:
+    dl, ul = forms.ages(rho)
+    return weighted_sum(w, dl, ul)
 
 
 def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
@@ -91,31 +112,23 @@ def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
     Uplink part:   -w a lambda theta d^alpha [3 / (2 rho^2) + 1 / (2 (rho + lambda theta d^alpha)^2)]
     with a = 1/eta + exp(-1/eta).
     """
-    theta, a, y = _constants(params, rho, w)
-    down = 1.5 * theta / (1.0 - rho) ** 2 + 0.5 * theta / (1.0 + theta - rho) ** 2
-    up = -1.5 * a * y / rho ** 2 - 0.5 * a * y / (rho + y) ** 2
-    return (1.0 - w) * down + w * up
+    _check(rho, w)
+    return _gradient(ClosedForms(params), rho, w)
 
 
 def aoi_second_derivative(params: SystemParams, rho: float, w: float) -> float:
     """Second derivative of the objective; strictly positive on (0, 1)."""
-    theta, a, y = _constants(params, rho, w)
-    down = 3.0 * theta / (1.0 - rho) ** 3 + theta / (1.0 + theta - rho) ** 3
-    up = a * y * (3.0 / rho ** 3 + 1.0 / (rho + y) ** 3)
-    return (1.0 - w) * down + w * up
+    _check(rho, w)
+    return _curvature(ClosedForms(params), rho, w)
 
 
-def _objective(params: SystemParams, rho: float, w: float) -> float:
-    return weighted_sum_aoi(params, rho, w).weighted
-
-
-def _bisect(params, w, lo, hi, opts, trace, iterations):
+def _bisect(forms, w, lo, hi, opts, trace, iterations):
     """Bisection on the gradient sign; requires g(lo) < 0 < g(hi)."""
     budget = max(_BISECTION_BUDGET, opts.max_iters)
     for _ in range(budget):
         mid = 0.5 * (lo + hi)
-        g_mid = aoi_gradient(params, mid, w)
-        trace.append((mid, _objective(params, mid, w), g_mid))
+        g_mid = _gradient(forms, mid, w)
+        trace.append((mid, _objective(forms, mid, w), g_mid))
         iterations += 1
         if g_mid < 0.0:
             lo = mid
@@ -132,35 +145,37 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
     opts = opts or OptOptions()
     lo = opts.boundary_eps
     hi = 1.0 - opts.boundary_eps
-    g_lo = aoi_gradient(params, lo, w)
-    g_hi = aoi_gradient(params, hi, w)
+    _check(lo, w)
+    forms = ClosedForms(params)   # every evaluation below reuses its constants
+    g_lo = _gradient(forms, lo, w)
+    g_hi = _gradient(forms, hi, w)
     grad_scale = max(abs(g_lo), abs(g_hi))
 
     # the gradient is strictly increasing (convexity): a single sign decides
     # whether the admissible-interval minimum sits at an edge
     if g_lo >= 0.0:
-        obj = _objective(params, lo, w)
+        obj = _objective(forms, lo, w)
         return OptResult(lo, obj, 0, ((lo, obj, g_lo),), True, "boundary")
     if g_hi <= 0.0:
-        obj = _objective(params, hi, w)
+        obj = _objective(forms, hi, w)
         return OptResult(hi, obj, 0, ((hi, obj, g_hi),), True, "boundary")
 
     trace: list[tuple[float, float, float]] = []
     rho = min(max(opts.rho_init, lo), hi)
-    obj = _objective(params, rho, w)
+    obj = _objective(forms, rho, w)
     iterations = 0
     method = "newton"
     converged = False
 
     for _ in range(opts.max_iters):
-        g = aoi_gradient(params, rho, w)
+        g = _gradient(forms, rho, w)
         trace.append((rho, obj, g))
-        step = -g / aoi_second_derivative(params, rho, w)
+        step = -g / _curvature(forms, rho, w)
         candidate = rho + step
         stalled = False
         for _halving in range(50):
             if lo <= candidate <= hi:
-                cand_obj = _objective(params, candidate, w)
+                cand_obj = _objective(forms, candidate, w)
                 if cand_obj <= obj:
                     break
             step *= 0.5
@@ -174,7 +189,7 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         moved = abs(candidate - rho)
         rho, obj = candidate, cand_obj
         if moved <= opts.tol:
-            if abs(aoi_gradient(params, rho, w)) <= _GRAD_REL_TOL * grad_scale:
+            if abs(_gradient(forms, rho, w)) <= _GRAD_REL_TOL * grad_scale:
                 converged = True
                 break
             # step collapsed away from the root: damping cannot help anymore
@@ -185,13 +200,13 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         if method == "bisection":
             # fall back to bisecting the whole admissible interval [lo, hi]
             rho, iterations, converged = _bisect(
-                params, w, lo, hi, opts, trace, iterations)
-            obj = _objective(params, rho, w)
+                forms, w, lo, hi, opts, trace, iterations)
+            obj = _objective(forms, rho, w)
             converged = converged and (
-                abs(aoi_gradient(params, rho, w)) <= _GRAD_REL_TOL * grad_scale)
+                abs(_gradient(forms, rho, w)) <= _GRAD_REL_TOL * grad_scale)
         # else: Newton exhausted max_iters without stalling; report as-is
 
-    trace.append((rho, obj, aoi_gradient(params, rho, w)))
+    trace.append((rho, obj, _gradient(forms, rho, w)))
     return OptResult(rho, obj, iterations, tuple(trace), converged, method)
 
 

@@ -2,9 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twoway_aoi.analytic import weighted_sum_aoi
-from twoway_aoi.model import SystemParams
+from twoway_aoi import optimizer
+from twoway_aoi.analytic import (
+    ClosedForms,
+    avg_downlink_aoi,
+    avg_uplink_aoi,
+    data_rates,
+    downlink_service_moments,
+    harvest_slot_moments,
+    renewal_aoi,
+    uplink_service_moments,
+    weighted_sum,
+    weighted_sum_aoi,
+)
+from twoway_aoi.model import SystemParams, derive_constants
 from twoway_aoi.optimizer import (
     OptOptions,
     OptResult,
@@ -159,3 +173,43 @@ def test_convergence_from_varied_starts():
         res = newton_solve(REF, 0.5, OptOptions(rho_init=rho0))
         assert res.converged
         assert res.rho_star == pytest.approx(0.7915141232, rel=1e-6)
+
+
+_PARAMS = st.fixed_dictionaries({
+    "harvest_eff": st.floats(0.01, 1.0),
+    "distance": st.floats(0.5, 10.0),
+    "packet_nats": st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_PARAMS, rho=st.floats(1e-9, 1.0 - 1e-9), w=st.floats(0.0, 1.0))
+def test_per_solve_constants_are_bit_identical(fields, rho, w):
+    # the solver evaluates through one ClosedForms per solve; the public
+    # functions build their constants per call; both must agree under ==,
+    # since the line search accepts a step on the objective's last bit
+    params = SystemParams(**fields)
+    forms = ClosedForms(params)
+    assert optimizer._objective(forms, rho, w) == weighted_sum_aoi(params, rho, w).weighted
+    assert optimizer._gradient(forms, rho, w) == aoi_gradient(params, rho, w)
+    assert optimizer._curvature(forms, rho, w) == aoi_second_derivative(params, rho, w)
+
+    # from scratch: a fresh parameter set and the per-load public functions
+    fresh = SystemParams(**fields)
+    loads = derive_constants(fresh, rho)
+    eta = fresh.harvest_eff
+    dl, ul = avg_downlink_aoi(loads.dl_load), avg_uplink_aoi(loads.ul_load, eta)
+    assert (forms.theta, forms.y) == (loads.theta, derive_constants(fresh, 1.0).ul_load)
+    assert forms.slot == harvest_slot_moments(eta)
+    assert forms.loads(rho) == (loads.dl_load, loads.ul_load)
+    assert forms.ages(rho) == (dl, ul)
+    assert ul == renewal_aoi(uplink_service_moments(loads.ul_load, eta))
+    assert optimizer._objective(forms, rho, w) == weighted_sum(w, dl, ul)
+    rates = (1.0 / downlink_service_moments(loads.dl_load).m1,
+             1.0 / uplink_service_moments(loads.ul_load, eta).m1)
+    assert forms.rates(rho) == data_rates(fresh, rho) == rates
+
+    # every row the solver records holds the public objective and gradient
+    for rho_n, obj_n, g_n in newton_solve(params, w).trace:
+        assert obj_n == weighted_sum_aoi(fresh, rho_n, w).weighted
+        assert g_n == aoi_gradient(fresh, rho_n, w)
