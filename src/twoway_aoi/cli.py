@@ -130,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "time-splitting vs power-splitting over a p grid"),
     ]:
         cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        cmd.set_defaults(command_parser=cmd)
         cmd.add_argument("--config", help="flat key = value config file")
         cmd.add_argument("--output", help="CSV output path (default: stdout)")
         # values stay strings here: _parse checks flags and config lines alike
@@ -312,7 +313,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse hands a command's unknown flags back to the top-level parser,
+    # whose usage line does not list them; report them with the command's own
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         spec = merge_spec(args)
         return _COMMANDS[args.command](spec)

@@ -331,7 +331,11 @@ def test_usage_error_is_validation_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    if argv:
+        # the usage line of the command, which lists the flags it accepts
+        assert "usage: twoway-aoi simulate" in err
 
 
 def test_config_directory_is_io_error(tmp_path, capsys):
