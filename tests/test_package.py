@@ -1,10 +1,14 @@
 """The package root: it exports each module's ``__all__`` and nothing else."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import twoway_aoi
-from twoway_aoi import analytic, model, optimizer, simulator
+# cli is imported for the trace test: twoway_aoi.cli is bound only once imported
+from twoway_aoi import analytic, cli, model, optimizer, simulator  # noqa: F401
 
 # the names the root exported while it listed them by hand
 _EXPORTED_BEFORE = [
@@ -45,3 +49,16 @@ def test_benchmark_trace_boundaries_resolve():
     spec.loader.exec_module(tracing)
     for module, attr, _ in tracing.BOUNDARIES:
         assert callable(getattr(getattr(twoway_aoi, module), attr)), (module, attr)
+
+
+def test_cli_import_loads_no_pool_modules():
+    # worker pools are imported when a run first needs one, so that starting
+    # the command line does not pay for them
+    code = ("import sys, twoway_aoi.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
