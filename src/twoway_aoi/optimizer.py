@@ -2,16 +2,20 @@
 
 The objective is strictly convex in rho on (0, 1) (both second-derivative
 brackets are positive), so the interior minimizer, when it exists, is the
-unique root of the gradient. A damped Newton iteration finds it; if the
-damping stalls the solver switches permanently to bisection on the
-gradient sign, which convexity guarantees to succeed. For w = 0 (or 1)
-the gradient keeps one sign on the whole interval and the minimum sits at
-the corresponding edge of the admissible interval; such solutions are
-reported with method "boundary" rather than faked as interior roots.
+unique root of a strictly increasing gradient. The gradient signs at the
+two ends of the admissible interval bracket that root, and a safeguarded
+Newton iteration finds it: each iterate's gradient sign shrinks the
+bracket, and a Newton step that would leave the bracket is halved until it
+lies inside. No step is tested against the objective, so the root found
+does not depend on the objective's last bit. For w = 0 (or 1) the gradient
+keeps one sign on the whole interval and the minimum sits at the
+corresponding edge of the admissible interval; such solutions are reported
+with method "boundary" rather than faked as interior roots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .analytic import ClosedForms, weighted_sum
@@ -32,7 +36,6 @@ __all__ = [
     "sweep_w",
 ]
 
-_BISECTION_BUDGET = 200
 _GRAD_REL_TOL = 1e-8
 
 
@@ -70,7 +73,7 @@ class OptResult:
     iterations: int
     trace: tuple = field(repr=False)   # (rho_n, objective_n, gradient_n) per step
     converged: bool
-    method: str                        # "newton", "bisection", or "boundary"
+    method: str                        # "newton" or "boundary"
 
 
 @dataclass(frozen=True)
@@ -122,24 +125,6 @@ def aoi_second_derivative(params: SystemParams, rho: float, w: float) -> float:
     return _curvature(ClosedForms(params), rho, w)
 
 
-def _bisect(forms, w, lo, hi, opts, trace, iterations):
-    """Bisection on the gradient sign; requires g(lo) < 0 < g(hi)."""
-    budget = max(_BISECTION_BUDGET, opts.max_iters)
-    for _ in range(budget):
-        mid = 0.5 * (lo + hi)
-        g_mid = _gradient(forms, mid, w)
-        trace.append((mid, _objective(forms, mid, w), g_mid))
-        iterations += 1
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= opts.tol:
-            rho = 0.5 * (lo + hi)
-            return rho, iterations, True
-    return 0.5 * (lo + hi), iterations, False
-
-
 def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None) -> OptResult:
     """Minimize the weighted-sum average age over rho for a fixed weight w."""
     opts = opts or OptOptions()
@@ -149,7 +134,6 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
     forms = ClosedForms(params)   # every evaluation below reuses its constants
     g_lo = _gradient(forms, lo, w)
     g_hi = _gradient(forms, hi, w)
-    grad_scale = max(abs(g_lo), abs(g_hi))
 
     # the gradient is strictly increasing (convexity): a single sign decides
     # whether the admissible-interval minimum sits at an edge
@@ -160,54 +144,31 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         obj = _objective(forms, hi, w)
         return OptResult(hi, obj, 0, ((hi, obj, g_hi),), True, "boundary")
 
+    # otherwise g(lo) < 0 < g(hi), and each iterate's gradient sign moves one
+    # end of the bracket onto it, so lo < root <= hi holds throughout
+    grad_tol = _GRAD_REL_TOL * max(-g_lo, g_hi)
     trace: list[tuple[float, float, float]] = []
     rho = min(max(opts.rho_init, lo), hi)
-    obj = _objective(forms, rho, w)
-    iterations = 0
-    method = "newton"
-    converged = False
-
-    for _ in range(opts.max_iters):
+    moved = math.inf
+    for iterations in range(opts.max_iters + 1):
         g = _gradient(forms, rho, w)
-        trace.append((rho, obj, g))
-        step = -g / _curvature(forms, rho, w)
-        candidate = rho + step
-        stalled = False
-        for _halving in range(50):
-            if lo <= candidate <= hi:
-                cand_obj = _objective(forms, candidate, w)
-                if cand_obj <= obj:
-                    break
-            step *= 0.5
-            candidate = rho + step
+        trace.append((rho, _objective(forms, rho, w), g))
+        converged = moved <= opts.tol and abs(g) <= grad_tol
+        if converged or iterations == opts.max_iters:
+            break
+        if g < 0.0:
+            lo = rho
         else:
-            stalled = True
-        if stalled:
-            method = "bisection"
-            break
-        iterations += 1
-        moved = abs(candidate - rho)
-        rho, obj = candidate, cand_obj
-        if moved <= opts.tol:
-            if abs(_gradient(forms, rho, w)) <= _GRAD_REL_TOL * grad_scale:
-                converged = True
-                break
-            # step collapsed away from the root: damping cannot help anymore
-            method = "bisection"
-            break
-
-    if not converged:
-        if method == "bisection":
-            # fall back to bisecting the whole admissible interval [lo, hi]
-            rho, iterations, converged = _bisect(
-                forms, w, lo, hi, opts, trace, iterations)
-            obj = _objective(forms, rho, w)
-            converged = converged and (
-                abs(_gradient(forms, rho, w)) <= _GRAD_REL_TOL * grad_scale)
-        # else: Newton exhausted max_iters without stalling; report as-is
-
-    trace.append((rho, obj, _gradient(forms, rho, w)))
-    return OptResult(rho, obj, iterations, tuple(trace), converged, method)
+            hi = rho
+        step = -g / _curvature(forms, rho, w)
+        # halving stops at tol: once the bracket closes to adjacent floats no
+        # step lies strictly inside it, and the clamp below ends the search
+        while abs(step) > opts.tol and not lo < rho + step < hi:
+            step *= 0.5
+        nxt = min(max(rho + step, lo), hi)
+        moved = abs(nxt - rho)
+        rho = nxt
+    return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "newton")
 
 
 def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> list[SweepPoint]:

@@ -2,20 +2,21 @@
 
 The determinism tests elsewhere compare a run with itself, so they cannot
 notice a refactor that changes a printed digit; these tests compare each
-run with bytes recorded in ``tests/golden/``. The cases cover both
-boundary and bisection rows of ``optimize``, a 1001-weight ``optimize``
-grid, a 101-weight ``optimize`` grid away from the reference point, both
-schemes, the exact SNR mode, several replications, a
-time-split walk that ends on the unfinished-packet sentinel, and
-per-epoch trace dumps of both schemes.
+run with bytes recorded in ``tests/golden/``. The cases cover boundary
+rows of ``optimize``, a coarse-tolerance ``optimize`` started near an
+edge, a 1001-weight ``optimize`` grid, a 101-weight ``optimize`` grid away
+from the reference point, both schemes, the exact SNR mode, several
+replications, a time-split walk that ends on the unfinished-packet
+sentinel, and per-epoch trace dumps of both schemes.
 Every case runs twice: at the default chunk size, which holds each recorded
 horizon in one chunk, and at 97 blocks, which crosses many chunk boundaries.
 
-After an intended change of output, re-record every file with
+After an intended change of output, re-record the cases it touches with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
-and say in the commit why the bytes changed.
+(every case when none is named) and say in the commit why the bytes
+changed.
 """
 
 from dataclasses import replace
@@ -34,7 +35,7 @@ CLI_CASES = {
     "analytic": ["analytic", "--rho-grid", "0,0.05,0.3,0.5,0.8,1",
                  "--w-grid", "0,0.25,1", "--harvest-eff", "0.3"],
     "optimize": ["optimize", "--w-grid", ",".join(str(i / 10) for i in range(11))],
-    # the line search accepts on the objective's last bit, so a fine grid pins its digits
+    # a fine grid pins the printed digits of rho_star across the whole weight range
     "optimize_fine": ["optimize", "--w-grid", ",".join(str(i / 1000) for i in range(1001))],
     "optimize_bisection": ["optimize", "--w-grid", "0.1,0.5,0.9", "--tol", "0.05",
                            "--rho-init", "0.01"],
@@ -89,8 +90,14 @@ def test_output_matches_golden_in_short_chunks(name, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    import sys
+
+    names = sys.argv[1:] or CASES
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
+    for case in names:
         if _write(case, GOLDEN / f"{case}.csv") != 0:
             raise SystemExit(f"case {case} exited nonzero")
         print(f"recorded {GOLDEN / case}.csv")
