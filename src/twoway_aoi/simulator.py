@@ -489,11 +489,15 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
         services = np.concatenate((services, new))
         m = min(len(arrivals), len(services))
         done = _fcfs(arrivals[:m], services[:m], free)
-        starts, ends = done - services[:m] + 1, done
-        if m < len(arrivals):   # the next packet outlasts the draws: busy from its start on
-            head = max(int(arrivals[m]), (int(done[-1]) if m else free) + 1)
-            starts, ends = np.append(starts, head), np.append(ends, hi)
-        busy = _mark_busy(starts, ends, lo, hi)
+        # busy in block b while more packets have arrived by b than completed by
+        # b - 1: an arrival in block a counts from index a - lo - 1 (a packet
+        # queued from an earlier chunk from index 0), and a completion in block d
+        # frees block d + 1, index d - lo. Every completion here exceeds lo: one
+        # by lo was delivered in its chunk, and a packet without a known service
+        # cannot complete within this chunk, so it counts as busy through hi.
+        c = hi - lo
+        busy = np.cumsum(np.bincount(np.maximum(arrivals - lo - 1, 0), minlength=c)
+                         - np.bincount(done[done < hi] - lo, minlength=c)) > 0
         used += int(busy.sum())
         k = int(np.searchsorted(done, hi, side="right"))
         dl = (done[:k], done[:k] - (arrivals[:k] - 1), services[:k])
@@ -512,18 +516,6 @@ def _fcfs(arrivals, services, free: int):
     cum_s = np.cumsum(services)
     slack = np.maximum.accumulate(np.maximum(arrivals - 1 - (cum_s - services), free))
     return slack + cum_s
-
-
-def _mark_busy(starts, ends, lo: int, hi: int):
-    """Which blocks lo+1..hi lie in one of the block intervals [starts, ends]."""
-    c = hi - lo
-    s = np.maximum(starts - lo, 1)
-    e = np.minimum(ends - lo, c)
-    valid = s <= e
-    delta = np.zeros(c + 2, dtype=np.int32)
-    np.add.at(delta, s[valid], 1)
-    np.add.at(delta, e[valid] + 1, -1)
-    return np.cumsum(delta[1 : c + 1]) > 0
 
 
 def _replication(params: SystemParams, rho: float, cfg: SimConfig, downlink, rep: int):
