@@ -115,6 +115,8 @@ class SimConfig:
     def __post_init__(self):
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         if self.snr_mode not in SNR_MODES:

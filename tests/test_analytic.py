@@ -63,6 +63,10 @@ def test_pmf_rejects_bad_j():
         downlink_service_pmf(1.0, 0)
     with pytest.raises(ValueError):
         downlink_service_pmf(1.0, -3)
+    with pytest.raises(ValueError, match="dl_load"):
+        downlink_service_pmf(-1.0, 1)
+    with pytest.raises(ValueError, match="dl_load"):
+        downlink_service_moments(-1.0)
 
 
 @pytest.mark.parametrize("load", LOAD_GRID)

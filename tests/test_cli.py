@@ -292,11 +292,16 @@ def test_malformed_config_value(tmp_path, capsys):
     code, _, err = run_cli(["analytic", "--config", str(cfg)], capsys)
     assert code == 1
     assert "total_power" in err
+    cfg.write_text("total_power 5\n")
+    code, _, err = run_cli(["analytic", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert "expected 'key = value'" in err
 
 
 # gen_prob: power splitting, the default scheme, takes none
 @pytest.mark.parametrize("key,raw", [("num_blocks", "abc"), ("snr_mode", "approx"),
-                                     ("scheme", "foo"), ("gen_prob", "0.01")])
+                                     ("scheme", "foo"), ("gen_prob", "0.01"),
+                                     ("seed", "-1"), ("w_grid", ",")])
 def test_bad_value_is_validation_error_by_flag_and_by_config(tmp_path, capsys, key, raw):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"num_blocks = 2000\n{key} = {raw}\n")

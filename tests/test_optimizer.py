@@ -59,6 +59,8 @@ def test_gradient_rejects_boundaries():
         aoi_gradient(REF, 0.0, 0.5)
     with pytest.raises(ValueError):
         aoi_second_derivative(REF, 1.0, 0.5)
+    with pytest.raises(ValueError, match="w must be"):
+        aoi_gradient(REF, 0.5, 1.5)
 
 
 def test_second_derivative_positive_on_grid():

@@ -274,7 +274,8 @@ def test_power_split_matches_reference(rho, seed):
         ref["final_buffer"], rel=1e-9)
 
 
-@pytest.mark.parametrize("p,seed", [(0.01, 21), (0.003, 22), (0.02, 23)])
+# 0.033 loads the queue to p(1 + theta) = 0.92: packets wait behind one another
+@pytest.mark.parametrize("p,seed", [(0.01, 21), (0.003, 22), (0.02, 23), (0.033, 24)])
 def test_time_split_matches_reference(p, seed):
     n, warmup = 4000, 40
     cfg = SimConfig(num_blocks=n, seed=seed, warmup_blocks=warmup,
@@ -481,8 +482,21 @@ def test_config_validation():
         SimConfig(num_blocks=100, scheme="time_split")        # gen_prob missing
     with pytest.raises(ValueError):
         SimConfig(num_blocks=100, gen_prob=0.1)               # not time_split
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(num_blocks=100, seed=-1)
     with pytest.raises(ValueError):
         run_power_splitting(REF, 1.0, SimConfig(num_blocks=100))
+    with pytest.raises(ValueError, match="config.scheme"):
+        run_power_splitting(REF, 0.5, SimConfig(num_blocks=100, scheme="time_split",
+                                                gen_prob=0.01))
+    with pytest.raises(ValueError, match="config.scheme"):
+        run_time_splitting(REF, 0.01, SimConfig(num_blocks=100))
+    # p = 1/(1 + theta) leaves no block for energy transfer
+    limit = 1.0 / (1.0 + REF.theta)
+    assert ts_equivalent_rho(limit, REF.theta) == 0.0
+    with pytest.raises(ValueError, match="saturates"):
+        run_time_splitting(REF, limit, SimConfig(num_blocks=100, scheme="time_split",
+                                                 gen_prob=limit))
     with pytest.raises(ValueError, match="stable"):
         run_time_splitting(REF, 0.2, SimConfig(num_blocks=100, scheme="time_split",
                                                gen_prob=0.2))
@@ -656,6 +670,10 @@ def test_aoi_path_validation():
         aoi_from_path([(2, 1), (2, 1)])
     with pytest.raises(ValueError):
         aoi_via_qk([(1, 1), (3, 0)])
+    with pytest.raises(ValueError, match="two deliveries"):
+        aoi_via_qk([(1, 1)])
+    with pytest.raises(ValueError, match="pairs"):
+        aoi_via_qk([(1, 1, 1), (3, 2, 1)])
 
 
 # ---------------------------------------------------------------------------
