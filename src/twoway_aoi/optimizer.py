@@ -10,12 +10,15 @@ lies inside. No step is tested against the objective, so the root found
 does not depend on the objective's last bit. For w = 0 (or 1) the gradient
 keeps one sign on the whole interval and the minimum sits at the
 corresponding edge of the admissible interval; such solutions are reported
-with method "boundary" rather than faked as interior roots.
+with method "boundary" rather than faked as interior roots. A subnormal
+theta leaves the gradient near the root too few bits for a Newton step, so
+the sign change is then bisected (method "bisection").
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .analytic import ClosedForms, weighted_sum
@@ -73,7 +76,7 @@ class OptResult:
     iterations: int
     trace: tuple = field(repr=False)   # (rho_n, objective_n, gradient_n) per step
     converged: bool
-    method: str                        # "newton" or "boundary"
+    method: str                        # "newton", "bisection" or "boundary"
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,14 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         obj = _objective(forms, hi, w)
         return OptResult(hi, obj, 0, ((hi, obj, g_hi),), True, "boundary")
 
+    # a subnormal theta makes every gradient term near the root subnormal: the
+    # values round to a few multiples of the smallest subnormal, and to zero
+    # over a stretch of rho up to 2e-10 of the root wide, so a Newton step
+    # lands anywhere on it; the computed gradient still never decreases in rho
+    # (each rounded operation keeps the order), so its sign change is bisected
+    if forms.theta < sys.float_info.min:
+        return _bisect(forms, w, lo, hi, opts.max_iters)
+
     # otherwise g(lo) < 0 < g(hi), and each iterate's gradient sign moves one
     # end of the bracket onto it, so lo < root <= hi holds throughout
     grad_tol = _GRAD_REL_TOL * max(-g_lo, g_hi)
@@ -169,6 +180,24 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         moved = abs(nxt - rho)
         rho = nxt
     return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "newton")
+
+
+def _bisect(forms: ClosedForms, w: float, lo: float, hi: float, max_iters: int) -> OptResult:
+    """The first rho in (lo, hi] where the gradient is not negative, to adjacent floats."""
+    trace: list[tuple[float, float, float]] = []
+    for iterations in range(max_iters + 1):
+        mid = 0.5 * (lo + hi)
+        converged = not lo < mid < hi
+        rho = hi if converged else mid
+        g = _gradient(forms, rho, w)
+        trace.append((rho, _objective(forms, rho, w), g))
+        if converged or iterations == max_iters:
+            break
+        if g < 0.0:
+            lo = rho
+        else:
+            hi = rho
+    return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "bisection")
 
 
 def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> list[SweepPoint]:

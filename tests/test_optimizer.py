@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoway_aoi import optimizer
@@ -268,6 +268,9 @@ _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 @settings(max_examples=300, deadline=None)
 @given(fields=_PARAMS, w=_OPEN_UNIT, rho_init=_OPEN_UNIT)
+# a subnormal theta (2.7e-314), where a Newton iterate stopped 3.3e-12 away
+@example(fields={"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 2.2250738585e-313},
+         w=0.5, rho_init=0.5)
 def test_interior_root_is_accurate_to_the_last_bits(fields, w, rho_init):
     # 1e-13 relative: the safeguarded Newton iteration lands within a few
     # ulps (2.1e-16 worst over 3000 random draws), while a step accepted on
