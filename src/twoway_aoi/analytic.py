@@ -8,9 +8,9 @@ follow the zero-wait renewal form  E(S) + 1/2 + E(S^2) / (2 E(S))  in
 discrete blocks.
 
 :class:`ClosedForms` holds what one parameter set fixes (theta, y =
-lambda theta d^alpha and the harvest-slot moments) and evaluates the rest
-per split ratio; the functions that take ``params`` build one per call, so
-both routes run the same float operations.
+lambda theta d^alpha, c = y / theta and the harvest-slot moments) and
+evaluates the rest per split ratio; the functions that take ``params`` build
+one per call, so both routes run the same float operations.
 
 Two uplink forms are exposed. ``renewal`` composes the compound moments
 with the renewal formula and is the default; ``literal`` reproduces the
@@ -192,15 +192,18 @@ def weighted_sum(w: float, downlink: float, uplink: float) -> float:
 class ClosedForms:
     """The closed forms of one parameter set as functions of the split ratio.
 
-    theta, y = lambda theta d^alpha and the harvest-slot moments of eta are
-    computed once, on construction; each method evaluates only the
-    rho-dependent arithmetic. Ages use the renewal uplink form.
+    theta, y = lambda theta d^alpha, c = y / theta and the harvest-slot
+    moments of eta are computed once, on construction; each method evaluates
+    only the rho-dependent arithmetic. Ages use the renewal uplink form.
     """
 
     def __init__(self, params: SystemParams):
         loads = derive_constants(params, 1.0)
         self.theta = loads.theta
         self.y = loads.ul_load      # the uplink load y / rho is y itself at rho = 1
+        # lambda d^alpha as the ratio of the rounded loads, so that a theta-free
+        # form keeps the gradient's root where y is subnormal (0 if theta is 0)
+        self.c = self.y / self.theta if self.theta else 0.0
         self.slot = harvest_slot_moments(params.harvest_eff)
 
     def loads(self, rho: float) -> tuple[float, float]:

@@ -2,23 +2,22 @@
 
 The objective is strictly convex in rho on (0, 1) (both second-derivative
 brackets are positive), so the interior minimizer, when it exists, is the
-unique root of a strictly increasing gradient. The gradient signs at the
-two ends of the admissible interval bracket that root, and a safeguarded
-Newton iteration finds it: each iterate's gradient sign shrinks the
-bracket, and a Newton step that would leave the bracket is halved until it
-lies inside. No step is tested against the objective, so the root found
-does not depend on the objective's last bit. For w = 0 (or 1) the gradient
-keeps one sign on the whole interval and the minimum sits at the
-corresponding edge of the admissible interval; such solutions are reported
-with method "boundary" rather than faked as interior roots. A subnormal
-theta leaves the gradient near the root too few bits for a Newton step, so
-the sign change is then bisected (method "bisection").
+unique root of a strictly increasing gradient g. The gradient signs at the
+two ends of the admissible interval bracket that root. A safeguarded Newton
+iteration finds it on the cleared gradient h = g rho^2 (1-rho)^2 / theta,
+which has g's sign on (0, 1) but neither scales with theta nor blows up at
+the edges: each iterate's sign shrinks the bracket, and a Newton step that
+would leave the bracket is halved until it lies inside. No step is tested
+against the objective, so the root found does not depend on the
+objective's last bit. For w = 0 (or 1) the gradient keeps one sign on the
+whole interval and the minimum sits at the corresponding edge of the
+admissible interval; such solutions are reported with method "boundary"
+rather than faked as interior roots.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .analytic import ClosedForms, weighted_sum
@@ -76,7 +75,7 @@ class OptResult:
     iterations: int
     trace: tuple = field(repr=False)   # (rho_n, objective_n, gradient_n) per step
     converged: bool
-    method: str                        # "newton", "bisection" or "boundary"
+    method: str                        # "newton" or "boundary"
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,25 @@ def _curvature(forms: ClosedForms, rho: float, w: float) -> float:
     down = 3.0 * theta / (1.0 - rho) ** 3 + theta / (1.0 + theta - rho) ** 3
     up = a * y * (3.0 / rho ** 3 + 1.0 / (rho + y) ** 3)
     return (1.0 - w) * down + w * up
+
+
+def _cleared(forms: ClosedForms, rho: float, w: float) -> tuple[float, float]:
+    # h = g m / theta with m = (rho (1-rho))^2, and its derivative h':
+    #   h = (1-w) [1.5 rho^2 + 0.5 m / q^2] - w a c [1.5 (1-rho)^2 + 0.5 m / u^2]
+    # with q = 1 + theta - rho, u = rho + y; c = y / theta keeps h's size
+    # however small theta is, and m clears g's poles at both edges
+    theta, ac, y = forms.theta, forms.slot.m1 * forms.c, forms.y
+    r1 = 1.0 - rho
+    p = rho * r1
+    m = p * p
+    half_dm = p * (r1 - rho)
+    iq = 1.0 / (1.0 + theta - rho)
+    iu = 1.0 / (rho + y)
+    down = 1.5 * rho * rho + 0.5 * m * iq * iq
+    up = 1.5 * r1 * r1 + 0.5 * m * iu * iu
+    dh = ((1.0 - w) * (3.0 * rho + (half_dm + m * iq) * iq * iq)
+          - w * ac * ((half_dm - m * iu) * iu * iu - 3.0 * r1))
+    return (1.0 - w) * down - w * ac * up, dh
 
 
 def _objective(forms: ClosedForms, rho: float, w: float) -> float:
@@ -147,31 +165,26 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         obj = _objective(forms, hi, w)
         return OptResult(hi, obj, 0, ((hi, obj, g_hi),), True, "boundary")
 
-    # a subnormal theta makes every gradient term near the root subnormal: the
-    # values round to a few multiples of the smallest subnormal, and to zero
-    # over a stretch of rho up to 2e-10 of the root wide, so a Newton step
-    # lands anywhere on it; the computed gradient still never decreases in rho
-    # (each rounded operation keeps the order), so its sign change is bisected
-    if forms.theta < sys.float_info.min:
-        return _bisect(forms, w, lo, hi, opts.max_iters)
-
-    # otherwise g(lo) < 0 < g(hi), and each iterate's gradient sign moves one
-    # end of the bracket onto it, so lo < root <= hi holds throughout
-    grad_tol = _GRAD_REL_TOL * max(-g_lo, g_hi)
+    # otherwise g(lo) < 0 < g(hi), and each iterate's sign moves one end of
+    # the bracket onto it, so lo < root <= hi holds throughout
+    h_tol = _GRAD_REL_TOL * max(-_cleared(forms, lo, w)[0], _cleared(forms, hi, w)[0])
     trace: list[tuple[float, float, float]] = []
     rho = min(max(opts.rho_init, lo), hi)
     moved = math.inf
     for iterations in range(opts.max_iters + 1):
-        g = _gradient(forms, rho, w)
-        trace.append((rho, _objective(forms, rho, w), g))
-        converged = moved <= opts.tol and abs(g) <= grad_tol
+        h, dh = _cleared(forms, rho, w)
+        trace.append((rho, _objective(forms, rho, w), _gradient(forms, rho, w)))
+        converged = moved <= opts.tol and abs(h) <= h_tol
         if converged or iterations == opts.max_iters:
             break
-        if g < 0.0:
+        if h < 0.0:
             lo = rho
         else:
             hi = rho
-        step = -g / _curvature(forms, rho, w)
+        # h is not monotone (for small theta or y it dips near rho = 1 - theta
+        # or rho = y), so where h' <= 0 the Newton step points out of the
+        # bracket and the bracket's midpoint is taken instead
+        step = -h / dh if dh > 0.0 else 0.5 * (lo + hi) - rho
         # halving stops at tol: once the bracket closes to adjacent floats no
         # step lies strictly inside it, and the clamp below ends the search
         while abs(step) > opts.tol and not lo < rho + step < hi:
@@ -180,24 +193,6 @@ def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None)
         moved = abs(nxt - rho)
         rho = nxt
     return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "newton")
-
-
-def _bisect(forms: ClosedForms, w: float, lo: float, hi: float, max_iters: int) -> OptResult:
-    """The first rho in (lo, hi] where the gradient is not negative, to adjacent floats."""
-    trace: list[tuple[float, float, float]] = []
-    for iterations in range(max_iters + 1):
-        mid = 0.5 * (lo + hi)
-        converged = not lo < mid < hi
-        rho = hi if converged else mid
-        g = _gradient(forms, rho, w)
-        trace.append((rho, _objective(forms, rho, w), g))
-        if converged or iterations == max_iters:
-            break
-        if g < 0.0:
-            lo = rho
-        else:
-            hi = rho
-    return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "bisection")
 
 
 def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> list[SweepPoint]:

@@ -1,6 +1,7 @@
 """Gradient, curvature, and solver correctness against brute-force oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ def test_boundary_solutions():
     r1 = newton_solve(REF, 1.0, opts)
     assert r1.method == "boundary"
     assert r1.rho_star == 1.0 - opts.boundary_eps
+    # theta = 0, given or underflowed: the gradient vanishes everywhere and
+    # the solve returns at the lower edge without iterating
+    for nats in (0.0, 1e-320):
+        params = SystemParams(packet_nats=nats)
+        assert params.theta == 0.0
+        for w in (0.1, 0.5, 0.9):
+            res = newton_solve(params, w, opts)
+            assert (res.method, res.rho_star, res.iterations) == ("boundary", opts.boundary_eps, 0)
 
 
 def test_interior_root_quality():
@@ -202,10 +211,18 @@ def test_rho_star_ignores_the_objectives_last_bit(objective, monkeypatch):
 
 
 def test_convergence_from_varied_starts():
-    for rho0 in (0.02, 0.3, 0.97):
-        res = newton_solve(REF, 0.5, OptOptions(rho_init=rho0))
-        assert res.converged
-        assert res.rho_star == pytest.approx(0.7915141232, rel=1e-6)
+    # edge starts and a loose tol: the cleared gradient neither creeps out of
+    # an edge nor lets tol alone decide how close the root lands
+    for rho0 in (1e-4, 0.01, 0.02, 0.3, 0.97, 0.99):
+        for w in (0.1, 0.5, 0.9):
+            for tol in (1e-12, 0.05):
+                opts = OptOptions(rho_init=rho0, tol=tol)
+                res = newton_solve(REF, w, opts)
+                assert res.converged
+                assert abs(res.rho_star - _exact_root(REF, w, opts)) <= 1e-6
+                assert res.iterations <= 12
+    res = newton_solve(REF, 0.5, OptOptions(rho_init=0.02))
+    assert res.rho_star == pytest.approx(0.7915141232, rel=1e-6)
 
 
 _PARAMS = st.fixed_dictionaries({
@@ -249,15 +266,28 @@ def test_per_solve_constants_are_bit_identical(fields, rho, w):
         assert g_n == aoi_gradient(fresh, rho_n, w)
 
 
-def _gradient_root(params, w, opts):
-    """The gradient's sign change, bisected until the bracket ends are adjacent floats."""
+def _exact_root(params, w, opts):
+    """The first float in (lo, hi] where the gradient's exact sign is not negative.
+
+    The gradient is evaluated in Fractions on the floats a solve reads
+    (theta, the harvest-slot mean and y), so no rounding decides a sign;
+    the bisection stops when the bracket ends are adjacent floats.
+    """
     forms = ClosedForms(params)
+    theta, a, y, w = map(Fraction, (forms.theta, forms.slot.m1, forms.y, w))
+
+    def negative(rho):
+        rho = Fraction(rho)
+        down = 3 * theta / (1 - rho) ** 2 + theta / (1 + theta - rho) ** 2
+        up = 3 / rho ** 2 + 1 / (rho + y) ** 2
+        return (1 - w) * down < w * a * y * up
+
     lo, hi = opts.boundary_eps, 1.0 - opts.boundary_eps
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return lo
-        if optimizer._gradient(forms, mid, w) < 0.0:
+            return hi
+        if negative(mid):
             lo = mid
         else:
             hi = mid
@@ -268,12 +298,17 @@ _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 @settings(max_examples=300, deadline=None)
 @given(fields=_PARAMS, w=_OPEN_UNIT, rho_init=_OPEN_UNIT)
-# a subnormal theta (2.7e-314), where a Newton iterate stopped 3.3e-12 away
+# a subnormal theta (2.7e-314), where a Newton iterate on the raw gradient
+# stopped 3.3e-12 away
 @example(fields={"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 2.2250738585e-313},
          w=0.5, rho_init=0.5)
+# theta = 0.0027: the cleared gradient dips near rho = 1 - theta, where a
+# Newton step on it points out of the bracket
+@example(fields={"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 0.01},
+         w=0.5, rho_init=0.99)
 def test_interior_root_is_accurate_to_the_last_bits(fields, w, rho_init):
     # 1e-13 relative: the safeguarded Newton iteration lands within a few
-    # ulps (2.1e-16 worst over 3000 random draws), while a step accepted on
+    # ulps (4.2e-16 worst over 9000 random draws), while a step accepted on
     # the objective's last bit stopped up to 3.6e-9 away
     params = SystemParams(**fields)
     opts = OptOptions(rho_init=rho_init)
@@ -281,5 +316,5 @@ def test_interior_root_is_accurate_to_the_last_bits(fields, w, rho_init):
     if res.method == "boundary":
         return
     assert res.converged
-    root = _gradient_root(params, w, opts)
+    root = _exact_root(params, w, opts)
     assert abs(res.rho_star - root) <= 1e-13 * root
