@@ -38,7 +38,7 @@ CLI_CASES = {
     "optimize": ["optimize", "--w-grid", ",".join(str(i / 10) for i in range(11))],
     # a fine grid pins the printed digits of rho_star across the whole weight range
     "optimize_fine": ["optimize", "--w-grid", ",".join(str(i / 1000) for i in range(1001))],
-    "optimize_bisection": ["optimize", "--w-grid", "0.1,0.5,0.9", "--tol", "0.05",
+    "optimize_loose_tol": ["optimize", "--w-grid", "0.1,0.5,0.9", "--tol", "0.05",
                            "--rho-init", "0.01"],
     # the other cases pin the reference point only
     "optimize_params": ["optimize", "--w-grid", ",".join(str(i / 100) for i in range(101)),
