@@ -7,7 +7,8 @@ two ends of the admissible interval bracket that root. A safeguarded Newton
 iteration finds it on the cleared gradient h = g rho^2 (1-rho)^2 / theta,
 which has g's sign on (0, 1) but neither scales with theta nor blows up at
 the edges: each iterate's sign shrinks the bracket, and a Newton step that
-would leave the bracket is halved until it lies inside. No step is tested
+would leave the bracket is halved until it lies inside (where h' is not
+positive, the bracket's midpoint is taken instead). No step is tested
 against the objective, so the root found does not depend on the
 objective's last bit. For w = 0 (or 1) the gradient keeps one sign on the
 whole interval and the minimum sits at the corresponding edge of the
