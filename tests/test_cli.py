@@ -1,5 +1,8 @@
 """Command-line surface: merging, CSV format, reproducibility, exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -242,6 +245,48 @@ def test_censored_window_warns_once_per_direction(capsys):
     code, _, err = run_cli(["simulate", "--num-blocks", "30000", "--seed", "3"], capsys)
     assert code == 0
     assert err == ""
+
+
+def _run_cli_process(argv):
+    # a separate interpreter, so that stderr holds whatever numpy would print
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "twoway_aoi.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--distance", "1e200"],            # d**alpha
+    ["optimize", "--distance", "1e200"],
+    ["analytic", "--harvest-eff", "1e-300"],        # the harvest-slot mean squared
+    ["optimize", "--harvest-eff", "1e-300"],
+    ["optimize", "--w-grid", "0.5", "--packet-nats", "1e300"],   # the gradient
+])
+def test_closed_form_overflow_is_numerical_failure(argv):
+    result = _run_cli_process(argv)
+    assert result.returncode == 2
+    assert "RuntimeWarning" not in result.stderr
+
+
+# a renewal second moment that overflows prints inf; the published literal
+# form has no second moment, so it stays finite
+_OVERFLOWING_ROWS = {
+    ("--rho-grid", "0.5", "--packet-nats", "1e300"): [
+        "0.5,0.5,inf,inf,1.16749456611e+301,inf,1.85185185185e-300,1.28480255373e-301"],
+    ("--rho-grid", "5e-324,0.9999999999999999"): [
+        "4.94065645841e-324,0.5,42.9821428571,inf,inf,inf,0.0357142857143,0",
+        "1,0.5,3.64791569817e+17,588.881080751,588.381080751,1.82395784909e+17,"
+        "4.11193712824e-18,0.00255558270578"],
+}
+
+
+@pytest.mark.parametrize("flags", list(_OVERFLOWING_ROWS))
+def test_analytic_overflow_to_inf_is_not_a_failure(flags):
+    result = _run_cli_process(["analytic", *flags])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    rows = [ln for ln in result.stdout.splitlines() if not ln.startswith("#")]
+    assert rows[1:] == _OVERFLOWING_ROWS[flags]
 
 
 def test_optimize_nonconvergence_is_numerical_failure(capsys):
