@@ -10,13 +10,16 @@ discrete blocks.
 :class:`ClosedForms` holds what one parameter set fixes (theta, y =
 lambda theta d^alpha, c = y / theta and the harvest-slot moments) and
 evaluates the rest per split ratio; the functions that take ``params`` build
-one per call, so both routes run the same float operations.
+one per call, so both routes run the same float operations. Loads and
+ratios may be floats or numpy arrays; an overflow gives inf, not a warning.
 
 Two uplink forms are exposed. ``renewal`` composes the compound moments
 with the renewal formula and is the default; ``literal`` reproduces the
 published closed expression, which is lower by exactly 1/2 (a constant
-absorbed incorrectly during its simplification). The simulator decides
-empirically which one the sample paths follow; see the test suite.
+absorbed incorrectly during its simplification) wherever the renewal
+second moment is finite; where it overflows, only the renewal age is inf.
+The simulator decides empirically which one the sample paths follow; see
+the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import SystemParams, derive_constants, split_loads
+import numpy as np
+
+from .model import SystemParams, _all, _unbounded, derive_constants, split_loads
 
 __all__ = [
     "MomentPair",
@@ -86,30 +91,29 @@ def downlink_service_pmf(dl_load: float, j: int) -> float:
     return math.exp(_shifted_poisson_log_pmf(dl_load, int(j)))
 
 
-def downlink_service_moments(dl_load: float) -> MomentPair:
+@np.errstate(all="ignore")
+def downlink_service_moments(dl_load) -> MomentPair:
     """Moments of the shifted-Poisson block count: (1 + x, x^2 + 3x + 1)."""
-    if dl_load < 0:
+    if not _all(dl_load >= 0):
         raise ValueError(f"dl_load must be >= 0, got {dl_load!r}")
     x = dl_load
     return MomentPair(1.0 + x, x * x + 3.0 * x + 1.0)
 
 
-def renewal_aoi(moments: MomentPair) -> float:
+@np.errstate(all="ignore")
+def renewal_aoi(moments: MomentPair):
     """Average age of a zero-wait renewal system: m1 + 1/2 + m2/(2 m1)."""
     m1, m2 = moments
-    if not m1 > 0:
+    if not _all(m1 > 0):
         raise ValueError(f"first moment must be positive, got {m1!r}")
-    if math.isinf(m1) or math.isinf(m2):
-        return math.inf
-    return m1 + 0.5 + m2 / (2.0 * m1)
+    return _unbounded((abs(m1) == math.inf) | (abs(m2) == math.inf), m1 + 0.5 + m2 / (2.0 * m1))
 
 
-def avg_downlink_aoi(dl_load: float) -> float:
+@np.errstate(all="ignore")
+def avg_downlink_aoi(dl_load):
     """Average downlink age in blocks; infinite when the load is unbounded."""
-    if math.isinf(dl_load):
-        return math.inf
     x = dl_load
-    return 1.0 + x + (x * x + 4.0 * x + 2.0) / (2.0 * (1.0 + x))
+    return _unbounded(abs(x) == math.inf, 1.0 + x + (x * x + 4.0 * x + 2.0) / (2.0 * (1.0 + x)))
 
 
 def harvest_slot_pmf(eta: float, j: int) -> float:
@@ -135,17 +139,16 @@ def harvest_slot_moments(eta: float) -> MomentPair:
     return MomentPair(mu + tail, mu * mu + mu + tail)
 
 
-def _compound_moments(ul_load: float, slot: MomentPair) -> MomentPair:
+@np.errstate(all="ignore")
+def _compound_moments(ul_load, slot: MomentPair) -> MomentPair:
     # the per-load part of uplink_service_moments; ``slot`` is the per-eta part
-    if math.isinf(ul_load):
-        return MomentPair(math.inf, math.inf)
     count = downlink_service_moments(ul_load)
     m1 = count.m1 * slot.m1
     m2 = count.m1 * slot.m2 + (count.m2 - count.m1) * slot.m1 ** 2
-    return MomentPair(m1, m2)
+    return MomentPair(m1, _unbounded(abs(ul_load) == math.inf, m2))   # m1 is inf there too
 
 
-def uplink_service_moments(ul_load: float, eta: float) -> MomentPair:
+def uplink_service_moments(ul_load, eta: float) -> MomentPair:
     """Moments of the compound uplink service S_U = sum of S harvest slots.
 
     The count S of transmit blocks per packet is the downlink's shifted
@@ -155,12 +158,15 @@ def uplink_service_moments(ul_load: float, eta: float) -> MomentPair:
     return _compound_moments(ul_load, harvest_slot_moments(eta))
 
 
-def avg_uplink_aoi(ul_load: float, eta: float, form: str = "renewal") -> float:
+@np.errstate(all="ignore")
+def avg_uplink_aoi(ul_load, eta: float, form: str = "renewal"):
     """Average uplink age in blocks.
 
     ``renewal`` (default) composes the compound service moments with the
     renewal formula. ``literal`` evaluates the published closed expression,
-    which equals the renewal value minus exactly 1/2 for every input.
+    which equals the renewal value minus exactly 1/2 wherever the renewal
+    second moment is finite (at 1e300-nat packets it overflows: renewal
+    inf, literal 1.17e301).
     """
     if form not in UPLINK_FORMS:
         raise ValueError(f"form must be one of {UPLINK_FORMS}, got {form!r}")
@@ -174,19 +180,19 @@ def avg_uplink_aoi(ul_load: float, eta: float, form: str = "renewal") -> float:
             - 0.5 * a / count_mean)
 
 
-def weighted_sum(w: float, downlink: float, uplink: float) -> float:
+def weighted_sum(w, downlink, uplink):
     """The objective's rule (1 - w) * downlink + w * uplink, for ages or rates.
 
     At w exactly 0 or 1 the other side is left out rather than multiplied
     by zero, so a starved side's infinite age does not turn it into nan.
+    Works elementwise on numpy arrays.
     """
-    if not (0.0 <= w <= 1.0):
+    if not _all((0.0 <= w) & (w <= 1.0)):
         raise ValueError(f"w must be in [0, 1], got {w!r}")
-    if w == 0.0:
-        return downlink
-    if w == 1.0:
-        return uplink
-    return (1.0 - w) * downlink + w * uplink
+    with np.errstate(all="ignore"):
+        out = np.where(w == 0.0, downlink,
+                       np.where(w == 1.0, uplink, (1.0 - w) * downlink + w * uplink))
+    return out if out.ndim else float(out)
 
 
 class ClosedForms:
@@ -194,7 +200,8 @@ class ClosedForms:
 
     theta, y = lambda theta d^alpha, c = y / theta and the harvest-slot
     moments of eta are computed once, on construction; each method evaluates
-    only the rho-dependent arithmetic. Ages use the renewal uplink form.
+    only the rho-dependent arithmetic, on a float or elementwise on a numpy
+    array. Ages use the renewal uplink form.
     """
 
     def __init__(self, params: SystemParams):
@@ -205,6 +212,8 @@ class ClosedForms:
         # form keeps the gradient's root where y is subnormal (0 if theta is 0)
         self.c = self.y / self.theta if self.theta else 0.0
         self.slot = harvest_slot_moments(params.harvest_eff)
+        if math.isinf(self.slot.m2):
+            raise OverflowError(f"harvest-slot moment overflows at eta {params.harvest_eff!r}")
 
     def loads(self, rho: float) -> tuple[float, float]:
         """(dl_load, ul_load) at split ``rho``; infinite at a boundary ratio."""

@@ -18,6 +18,8 @@ import argparse
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .analytic import ClosedForms, avg_uplink_aoi, ts_equivalent_rho, weighted_sum
 from .model import SystemParams
@@ -159,14 +161,6 @@ def merge_spec(args: argparse.Namespace) -> RunSpec:
 # output formatting
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def _text(value) -> str:
     """A config value as the header writes it and the config parser reads it back."""
     if isinstance(value, tuple):
@@ -181,10 +175,17 @@ def _spec_header(spec: RunSpec) -> list[str]:
 
 
 def _emit(spec: RunSpec, columns: list[str], rows: list[list]) -> None:
+    # one % template per combination of cell types: '%.12g' % x prints a float
+    # as format(x, '.12g') does, inf and nan included; any other cell prints
+    # as str() prints it ("" for an empty cell)
     lines = _spec_header(spec)
     lines.append(",".join(columns))
+    templates = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds)
+        lines.append(templates[kinds] % tuple(row))
     text = "\n".join(lines) + "\n"
     if spec.output is None:
         sys.stdout.write(text)
@@ -204,16 +205,16 @@ def _hist_cell(hist: dict[int, int]) -> str:
 def cmd_analytic(spec: RunSpec) -> int:
     columns = ["rho", "w", "dl_aoi", "ul_aoi_renewal", "ul_aoi_literal",
                "weighted", "dl_rate", "ul_rate"]
-    rows = []
-    eta = spec.params.harvest_eff
     forms = ClosedForms(spec.params)
-    for rho in spec.rho_grid:
-        dl, ul_renewal = forms.ages(rho)
-        ul_literal = avg_uplink_aoi(forms.loads(rho)[1], eta, "literal")
-        dl_rate, ul_rate = forms.rates(rho)
-        for w in spec.w_grid:
-            rows.append([rho, w, dl, ul_renewal, ul_literal,
-                         weighted_sum(w, dl, ul_renewal), dl_rate, ul_rate])
+    rho = np.array(spec.rho_grid)
+    dl, ul_renewal = forms.ages(rho)
+    ul_literal = avg_uplink_aoi(forms.loads(rho)[1], spec.params.harvest_eff, "literal")
+    dl_rate, ul_rate = forms.rates(rho)
+    weighted = [weighted_sum(w, dl, ul_renewal).tolist() for w in spec.w_grid]
+    per_rho = zip(spec.rho_grid, dl.tolist(), ul_renewal.tolist(), ul_literal.tolist(),
+                  dl_rate.tolist(), ul_rate.tolist(), zip(*weighted))
+    rows = [[r, w, d, u, lit, ws, dr, ur]
+            for r, d, u, lit, dr, ur, by_w in per_rho for w, ws in zip(spec.w_grid, by_w)]
     _emit(spec, columns, rows)
     return 0
 
@@ -245,13 +246,13 @@ def _sim_rows(spec: RunSpec, report) -> list[list]:
     for i, rep in enumerate(report.per_replication):
         weighted = weighted_sum(w, rep.mean_dl_aoi, rep.mean_ul_aoi)
         rows.append([i, rep.mean_dl_aoi, rep.mean_ul_aoi, weighted, rep.dl_rate,
-                     rep.ul_rate, None, None, spec.sim.num_blocks,
+                     rep.ul_rate, "", "", spec.sim.num_blocks,
                      rep.energy_block_fraction, rep.final_buffer_joules,
-                     None, None, None])
+                     "", "", ""])
     rows.append(["aggregate", report.mean_dl_aoi, report.mean_ul_aoi,
                  report.weighted_aoi, report.dl_rate, report.ul_rate,
                  report.std_error_dl_aoi, report.std_error_ul_aoi,
-                 report.blocks_simulated, report.energy_block_fraction, None,
+                 report.blocks_simulated, report.energy_block_fraction, "",
                  _hist_cell(report.dl_service_hist),
                  _hist_cell(report.ul_service_hist),
                  _hist_cell(report.harvest_slot_hist)])

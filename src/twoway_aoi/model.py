@@ -84,7 +84,10 @@ class SystemParams:
     @cached_property
     def _d_alpha(self) -> float:
         """Path loss d**alpha, evaluated once per parameter set."""
-        return self.distance ** self.pathloss_exp
+        try:
+            return self.distance ** self.pathloss_exp
+        except OverflowError:
+            raise OverflowError(f"d**alpha overflows at distance {self.distance!r}") from None
 
     @cached_property
     def theta(self) -> float:
@@ -113,16 +116,29 @@ class DerivedLoads:
     ul_load: float          # lambda * theta * d**alpha / rho; inf at rho = 0
 
 
-def split_loads(theta: float, y: float, rho: float) -> tuple[float, float]:
+def _all(flags) -> bool:
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def _unbounded(where, value):
+    # value, and inf where ``where`` holds: elementwise on an array, a float otherwise
+    if isinstance(value, np.ndarray):
+        return np.where(where, np.inf, value)
+    return math.inf if where else float(value)
+
+
+@np.errstate(all="ignore")
+def split_loads(theta: float, y: float, rho):
     """(dl_load, ul_load) = (theta / (1 - rho), y / rho), with y = lambda theta d**alpha.
 
     The rho-dependent half of :func:`derive_constants`, for callers that keep
-    theta and y across many ratios.
+    theta and y across many ratios. ``rho`` is a float or a numpy array.
     """
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must be in [0, 1], got {rho!r}")
-    return (math.inf if rho == 1.0 else theta / (1.0 - rho),
-            math.inf if rho == 0.0 else y / rho)
+    rho = rho if isinstance(rho, np.ndarray) else np.float64(rho)
+    inside = (0.0 <= rho) & (rho <= 1.0)
+    if not _all(inside):
+        raise ValueError(f"rho must be in [0, 1], got {rho[~inside][0].item()!r}")
+    return _unbounded(rho == 1.0, theta / (1.0 - rho)), _unbounded(rho == 0.0, y / rho)
 
 
 def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analytic import ClosedForms, weighted_sum
 from .model import SystemParams
 
@@ -92,11 +94,19 @@ def _check(rho: float, w: float) -> None:
         raise ValueError(f"w must be in [0, 1], got {w!r}")
 
 
-def _gradient(forms: ClosedForms, rho: float, w: float) -> float:
+def _gradient(forms: ClosedForms, rho, w):
+    # squares as products, so that a float and an array run the same
+    # operations; an overflow, or a square that underflows to 0, raises
     theta, a, y = forms.theta, forms.slot.m1, forms.y
-    down = 1.5 * theta / (1.0 - rho) ** 2 + 0.5 * theta / (1.0 + theta - rho) ** 2
-    up = -1.5 * a * y / rho ** 2 - 0.5 * a * y / (rho + y) ** 2
-    return (1.0 - w) * down + w * up
+    rho = rho if isinstance(rho, np.ndarray) else np.float64(rho)
+    try:
+        with np.errstate(all="ignore", over="raise", divide="raise"):
+            r1, q, u = 1.0 - rho, 1.0 + theta - rho, rho + y
+            down = 1.5 * theta / (r1 * r1) + 0.5 * theta / (q * q)
+            up = -1.5 * a * y / (rho * rho) - 0.5 * a * y / (u * u)
+            return (1.0 - w) * down + w * up
+    except FloatingPointError:
+        raise OverflowError(f"the age gradient overflows at theta {theta!r}") from None
 
 
 def _curvature(forms: ClosedForms, rho: float, w: float) -> float:
@@ -138,7 +148,7 @@ def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
     with a = 1/eta + exp(-1/eta).
     """
     _check(rho, w)
-    return _gradient(ClosedForms(params), rho, w)
+    return float(_gradient(ClosedForms(params), rho, w))
 
 
 def aoi_second_derivative(params: SystemParams, rho: float, w: float) -> float:
@@ -150,58 +160,17 @@ def aoi_second_derivative(params: SystemParams, rho: float, w: float) -> float:
 def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None) -> OptResult:
     """Minimize the weighted-sum average age over rho for a fixed weight w."""
     opts = opts or OptOptions()
-    lo = opts.boundary_eps
-    hi = 1.0 - opts.boundary_eps
-    _check(lo, w)
-    forms = ClosedForms(params)   # every evaluation below reuses its constants
-    g_lo = _gradient(forms, lo, w)
-    g_hi = _gradient(forms, hi, w)
-
-    # the gradient is strictly increasing (convexity): a single sign decides
-    # whether the admissible-interval minimum sits at an edge
-    if g_lo >= 0.0:
-        obj = _objective(forms, lo, w)
-        return OptResult(lo, obj, 0, ((lo, obj, g_lo),), True, "boundary")
-    if g_hi <= 0.0:
-        obj = _objective(forms, hi, w)
-        return OptResult(hi, obj, 0, ((hi, obj, g_hi),), True, "boundary")
-
-    # otherwise g(lo) < 0 < g(hi), and each iterate's sign moves one end of
-    # the bracket onto it, so lo < root <= hi holds throughout
-    h_tol = _GRAD_REL_TOL * max(-_cleared(forms, lo, w)[0], _cleared(forms, hi, w)[0])
-    trace: list[tuple[float, float, float]] = []
-    rho = min(max(opts.rho_init, lo), hi)
-    moved = math.inf
-    for iterations in range(opts.max_iters + 1):
-        h, dh = _cleared(forms, rho, w)
-        trace.append((rho, _objective(forms, rho, w), _gradient(forms, rho, w)))
-        converged = moved <= opts.tol and abs(h) <= h_tol
-        if converged or iterations == opts.max_iters:
-            break
-        if h < 0.0:
-            lo = rho
-        else:
-            hi = rho
-        # h is not monotone (for small theta or y it dips near rho = 1 - theta
-        # or rho = y), so where h' <= 0 the Newton step points out of the
-        # bracket and the bracket's midpoint is taken instead
-        step = -h / dh if dh > 0.0 else 0.5 * (lo + hi) - rho
-        # halving stops at tol: once the bracket closes to adjacent floats no
-        # step lies strictly inside it, and the clamp below ends the search
-        while abs(step) > opts.tol and not lo < rho + step < hi:
-            step *= 0.5
-        nxt = min(max(rho + step, lo), hi)
-        moved = abs(nxt - rho)
-        rho = nxt
-    return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "newton")
+    _check(opts.boundary_eps, w)
+    return sweep_w(params, [w], opts)[0].result
 
 
 def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> list[SweepPoint]:
     """Minimize over rho for each weight in a sorted grid.
 
-    Points are solved independently (no warm starting) so the result is
-    deterministic and order-insensitive; failures are carried per point in
-    the OptResult rather than raised.
+    The weights are lanes of one array iteration: each lane takes the steps
+    of a lone solve of its weight (no warm starting, so results do not depend
+    on the grid) and leaves once it converges or reaches ``max_iters``.
+    Failures are carried per point in the OptResult rather than raised.
     """
     grid = [float(w) for w in w_grid]
     if any(not (0.0 <= w <= 1.0) for w in grid):
@@ -209,4 +178,58 @@ def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> lis
     if grid != sorted(grid):
         raise ValueError("w grid must be sorted ascending")
     opts = opts or OptOptions()
-    return [SweepPoint(w, newton_solve(params, w, opts)) for w in grid]
+    forms = ClosedForms(params)   # every evaluation below reuses its constants
+    w = np.array(grid)
+    lo0, hi0 = opts.boundary_eps, 1.0 - opts.boundary_eps
+    # the gradient is strictly increasing (convexity): a single sign decides
+    # whether the admissible-interval minimum sits at an edge, where a lane
+    # stops before its first step
+    at_lo = _gradient(forms, lo0, w) >= 0.0
+    edge = at_lo | (_gradient(forms, hi0, w) <= 0.0)
+    lanes, rhos, iterations, converged = [], [], np.zeros(w.size, int), np.zeros_like(edge)
+
+    # otherwise g(lo) < 0 < g(hi), and each iterate's sign moves one end of
+    # the bracket onto it, so lo < root <= hi holds throughout
+    lane, wl, stop = np.arange(w.size), w, edge
+    rho = np.where(at_lo, lo0, np.where(edge, hi0, min(max(opts.rho_init, lo0), hi0)))
+    with np.errstate(all="ignore"):
+        # max(-h(lo), h(hi)) as Python's max picks it, nan included
+        neg_h_lo, h_hi = -_cleared(forms, lo0, w)[0], _cleared(forms, hi0, w)[0]
+        h_tol = _GRAD_REL_TOL * np.where(h_hi > neg_h_lo, h_hi, neg_h_lo)
+        lo, hi, moved = (np.full(w.size, x) for x in (lo0, hi0, math.inf))
+        for it in range(opts.max_iters + 1):
+            h, dh = _cleared(forms, rho, wl)
+            lanes.append(lane)
+            rhos.append(rho)
+            conv = stop | (moved <= opts.tol) & (np.abs(h) <= h_tol)
+            done = conv | (it == opts.max_iters)
+            iterations[lane[done]], converged[lane[done]] = it, conv[done]
+            lane, wl, stop, rho, h, dh, lo, hi, h_tol = (
+                x[~done] for x in (lane, wl, stop, rho, h, dh, lo, hi, h_tol))
+            if not lane.size:
+                break
+            lo, hi = np.where(h < 0.0, rho, lo), np.where(h < 0.0, hi, rho)
+            # h is not monotone (for small theta or y it dips near rho = 1 - theta
+            # or rho = y), so where h' <= 0 the Newton step points out of the
+            # bracket and the bracket's midpoint is taken instead
+            step = np.where(dh > 0.0, -h / dh, 0.5 * (lo + hi) - rho)
+            # halving stops at tol: once the bracket closes to adjacent floats no
+            # step lies strictly inside it, and the clamp below ends the search
+            while (out := (np.abs(step) > opts.tol)
+                   & ~((lo < rho + step) & (rho + step < hi))).any():
+                step = np.where(out, step * 0.5, step)
+            nxt = np.minimum(np.maximum(rho + step, lo), hi)
+            rho, moved = nxt, np.abs(nxt - rho)
+
+    # the trace rows of all lanes in one evaluation, then grouped by weight in
+    # iteration order; a weight's last row holds its rho_star and aoi_star
+    lane = np.concatenate(lanes)
+    order = np.argsort(lane, kind="stable")
+    rho, w_row = np.concatenate(rhos)[order], w[lane[order]]
+    rows = list(zip(rho.tolist(), _objective(forms, rho, w_row).tolist(),
+                    _gradient(forms, rho, w_row).tolist()))
+    ends = np.cumsum(np.bincount(lane, minlength=w.size)).tolist()
+    traces = [tuple(rows[a:b]) for a, b in zip([0, *ends], ends)]
+    methods = np.where(edge, "boundary", "newton").tolist()
+    return [SweepPoint(v, OptResult(t[-1][0], t[-1][1], n, t, ok, method)) for v, t, n, ok, method
+            in zip(grid, traces, iterations.tolist(), converged.tolist(), methods)]

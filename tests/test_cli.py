@@ -265,6 +265,8 @@ def _run_cli_process(argv):
 def test_closed_form_overflow_is_numerical_failure(argv):
     result = _run_cli_process(argv)
     assert result.returncode == 2
+    assert result.stderr.startswith("numerical failure: ")
+    assert "overflows" in result.stderr
     assert "RuntimeWarning" not in result.stderr
 
 
@@ -403,6 +405,12 @@ def test_unwritable_output_is_io_error(capsys):
     code, _, err = run_cli(
         ["analytic", "--rho-grid", "0.5", "--output", "/nonexistent/dir/out.csv"], capsys)
     assert code == 3
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True))
+def test_percent_template_prints_floats_as_format_does(x):
+    # _emit formats float cells with '%.12g'; the CSV has always held format(x, '.12g')
+    assert "%.12g" % x == format(x, ".12g")
 
 
 def test_twelve_significant_digits(capsys):

@@ -1,6 +1,5 @@
 """Gradient, curvature, and solver correctness against brute-force oracles."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from twoway_aoi.model import SystemParams, derive_constants
 from twoway_aoi.optimizer import (
     OptOptions,
     OptResult,
+    SweepPoint,
     aoi_gradient,
     aoi_second_derivative,
     newton_solve,
@@ -181,6 +181,10 @@ def test_trace_is_recorded():
     assert all(len(t) == 3 for t in res.trace)
 
 
+# the patched objectives below take arrays of rho and w, one element per
+# trace row, as the solver evaluates its rows in one call
+
+
 def _equal_form(forms, rho, w):
     # the downlink age through its service moments: mathematically equal,
     # different in the last bits
@@ -192,22 +196,43 @@ def _ulp_nudge(forms, rho, w):
     # one ulp up where rho's last mantissa bit is set; a uniform scaling would
     # keep the order of any two objective values, so no comparison would see it
     obj = weighted_sum(w, *forms.ages(rho))
-    odd = int(math.ldexp(math.frexp(rho)[0], 53)) & 1
-    return math.nextafter(obj, math.inf) if odd else obj
+    odd = np.ldexp(np.frexp(rho)[0], 53).astype(np.int64) & 1
+    return np.where(odd == 1, np.nextafter(obj, np.inf), obj)
+
+
+_SWEEP_GRID = [i / 1000 for i in range(1001)]
 
 
 @pytest.mark.parametrize("objective", [_equal_form, _ulp_nudge])
 def test_rho_star_ignores_the_objectives_last_bit(objective, monkeypatch):
     # the iteration reads only the gradient and curvature; the objective
     # fills the trace and aoi_star, so its last bits must not move a root
-    grid = [i / 1000 for i in range(1001)]
-
     def solved():
-        return [(pt.result.rho_star, pt.result.iterations) for pt in sweep_w(REF, grid)]
+        return [(pt.result.rho_star, pt.result.iterations, pt.result.aoi_star)
+                for pt in sweep_w(REF, _SWEEP_GRID)]
 
     want = solved()
     monkeypatch.setattr(optimizer, "_objective", objective)
-    assert solved() == want
+    got = solved()
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    # the patch is read: some aoi_star moved in its last bits
+    assert any(g[2] != w[2] for g, w in zip(got, want))
+    assert all(g[2] == pytest.approx(w[2], rel=1e-12) for g, w in zip(got, want))
+
+
+def test_a_raising_objective_propagates(monkeypatch):
+    # guards the test above: a solve that never called the patched objective
+    # would pass it vacuously
+    class Called(Exception):
+        pass
+
+    def objective(forms, rho, w):
+        raise Called
+
+    monkeypatch.setattr(optimizer, "_objective", objective)
+    for solve in (lambda: sweep_w(REF, _SWEEP_GRID), lambda: newton_solve(REF, 0.5)):
+        with pytest.raises(Called):
+            solve()
 
 
 def _exact_root(params, w, opts):
@@ -292,18 +317,46 @@ def test_per_solve_constants_are_bit_identical(fields, rho, w):
 
 
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# a subnormal theta (2.7e-314), where a Newton iterate on the raw gradient
+# stopped 3.3e-12 away
+_SUBNORMAL_THETA = {"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 2.2250738585e-313}
+# theta = 0.0027: the cleared gradient dips near rho = 1 - theta, where a
+# Newton step on it points out of the bracket
+_DIPPING_CLEARED = {"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 0.01}
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=_PARAMS, rho_init=_OPEN_UNIT, tol=st.sampled_from([1e-12, 0.05]),
+       interior=st.lists(_OPEN_UNIT, min_size=1, max_size=6),
+       edges=st.lists(st.sampled_from([0.0, 1.0]), max_size=3))
+@example(fields=_SUBNORMAL_THETA, rho_init=0.5, tol=1e-12, interior=[0.5, 0.9], edges=[0.0, 1.0])
+@example(fields=_DIPPING_CLEARED, rho_init=0.99, tol=1e-12, interior=[0.1, 0.5], edges=[1.0])
+def test_sweep_lanes_share_no_state(fields, rho_init, tol, interior, edges):
+    # edge weights leave the sweep before it iterates and interior ones after
+    # different numbers of steps; each must come out as its lone solve does
+    params = SystemParams(**fields)
+    opts = OptOptions(rho_init=rho_init, tol=tol)
+    grid = sorted([*interior, *edges])
+    assert sweep_w(params, grid, opts) == [
+        SweepPoint(w, newton_solve(params, w, opts)) for w in grid]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=_PARAMS, rhos=st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_closed_forms_on_an_array_equal_the_per_float_calls(fields, rhos):
+    forms = ClosedForms(SystemParams(**fields))
+    grid = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, *rhos]
+    for method in (forms.loads, forms.ages, forms.rates):
+        per_float = [method(rho) for rho in grid]
+        assert all(type(v) is float for pair in per_float for v in pair)
+        assert [col.tolist() for col in method(np.array(grid))] == [
+            list(col) for col in zip(*per_float)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(fields=_PARAMS, w=_OPEN_UNIT, rho_init=_OPEN_UNIT)
-# a subnormal theta (2.7e-314), where a Newton iterate on the raw gradient
-# stopped 3.3e-12 away
-@example(fields={"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 2.2250738585e-313},
-         w=0.5, rho_init=0.5)
-# theta = 0.0027: the cleared gradient dips near rho = 1 - theta, where a
-# Newton step on it points out of the bracket
-@example(fields={"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 0.01},
-         w=0.5, rho_init=0.99)
+@example(fields=_SUBNORMAL_THETA, w=0.5, rho_init=0.5)
+@example(fields=_DIPPING_CLEARED, w=0.5, rho_init=0.99)
 def test_interior_root_is_accurate_to_the_last_bits(fields, w, rho_init):
     # 1e-13 relative: the safeguarded Newton iteration lands within a few
     # ulps (4.2e-16 worst over 3242 random interior solves), while a step
