@@ -1,5 +1,6 @@
 """Gradient, curvature, and solver correctness against brute-force oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -325,20 +326,57 @@ _SUBNORMAL_THETA = {"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 2.225073
 _DIPPING_CLEARED = {"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 0.01}
 
 
+def _loop_solve(params, w, opts):
+    """One weight's solve as a scalar loop: the reference for the lockstep sweep."""
+    forms = ClosedForms(params)
+    lo, hi = opts.boundary_eps, 1.0 - opts.boundary_eps
+    g_lo, g_hi = (float(optimizer._gradient(forms, edge, w)) for edge in (lo, hi))
+    if g_lo >= 0.0 or g_hi <= 0.0:
+        rho, g = (lo, g_lo) if g_lo >= 0.0 else (hi, g_hi)
+        obj = optimizer._objective(forms, rho, w)
+        return OptResult(rho, obj, 0, ((rho, obj, g),), True, "boundary")
+    h_tol = optimizer._GRAD_REL_TOL * max(-optimizer._cleared(forms, lo, w)[0],
+                                          optimizer._cleared(forms, hi, w)[0])
+    trace = []
+    rho, moved = min(max(opts.rho_init, lo), hi), math.inf
+    for iterations in range(opts.max_iters + 1):
+        h, dh = optimizer._cleared(forms, rho, w)
+        trace.append((rho, optimizer._objective(forms, rho, w),
+                      float(optimizer._gradient(forms, rho, w))))
+        converged = moved <= opts.tol and abs(h) <= h_tol
+        if converged or iterations == opts.max_iters:
+            break
+        if h < 0.0:
+            lo = rho
+        else:
+            hi = rho
+        step = -h / dh if dh > 0.0 else 0.5 * (lo + hi) - rho
+        while abs(step) > opts.tol and not lo < rho + step < hi:
+            step *= 0.5
+        nxt = min(max(rho + step, lo), hi)
+        moved, rho = abs(nxt - rho), nxt
+    return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "newton")
+
+
 @settings(max_examples=150, deadline=None)
 @given(fields=_PARAMS, rho_init=_OPEN_UNIT, tol=st.sampled_from([1e-12, 0.05]),
+       max_iters=st.sampled_from([100, 3]),
        interior=st.lists(_OPEN_UNIT, min_size=1, max_size=6),
        edges=st.lists(st.sampled_from([0.0, 1.0]), max_size=3))
-@example(fields=_SUBNORMAL_THETA, rho_init=0.5, tol=1e-12, interior=[0.5, 0.9], edges=[0.0, 1.0])
-@example(fields=_DIPPING_CLEARED, rho_init=0.99, tol=1e-12, interior=[0.1, 0.5], edges=[1.0])
-def test_sweep_lanes_share_no_state(fields, rho_init, tol, interior, edges):
+@example(fields=_SUBNORMAL_THETA, rho_init=0.5, tol=1e-12, max_iters=100,
+         interior=[0.5, 0.9], edges=[0.0, 1.0])
+@example(fields=_DIPPING_CLEARED, rho_init=0.99, tol=1e-12, max_iters=100,
+         interior=[0.1, 0.5], edges=[1.0])
+def test_sweep_lanes_share_no_state(fields, rho_init, tol, max_iters, interior, edges):
     # edge weights leave the sweep before it iterates and interior ones after
-    # different numbers of steps; each must come out as its lone solve does
+    # different numbers of steps (or at max_iters); each must come out as its
+    # lone solve does, and as the scalar loop does, trace rows included
     params = SystemParams(**fields)
-    opts = OptOptions(rho_init=rho_init, tol=tol)
+    opts = OptOptions(rho_init=rho_init, tol=tol, max_iters=max_iters)
     grid = sorted([*interior, *edges])
-    assert sweep_w(params, grid, opts) == [
-        SweepPoint(w, newton_solve(params, w, opts)) for w in grid]
+    got = sweep_w(params, grid, opts)
+    assert got == [SweepPoint(w, newton_solve(params, w, opts)) for w in grid]
+    assert got == [SweepPoint(w, _loop_solve(params, w, opts)) for w in grid]
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,6 +389,15 @@ def test_closed_forms_on_an_array_equal_the_per_float_calls(fields, rhos):
         assert all(type(v) is float for pair in per_float for v in pair)
         assert [col.tolist() for col in method(np.array(grid))] == [
             list(col) for col in zip(*per_float)]
+
+
+def test_closed_forms_reject_rho_outside_the_unit_interval():
+    forms = ClosedForms(REF)
+    for bad in (-0.1, 1.5, float("nan")):
+        for rho in (bad, np.array([0.5, bad, 2.0])):
+            for method in (forms.loads, forms.ages, forms.rates):
+                with pytest.raises(ValueError, match=rf"rho must be in \[0, 1\], got {bad!r}$"):
+                    method(rho)
 
 
 @settings(max_examples=300, deadline=None)
