@@ -124,21 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Age-of-information analytics, optimization, and simulation "
                     "for the power-splitting two-way exchange link.")
     parser.add_argument("--version", action="version", version=f"twoway-aoi {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("analytic", "tabulate closed-form ages and rates over (rho, w) grids"),
-        ("optimize", "optimal split ratio per weight over a w grid"),
-        ("simulate", "Monte Carlo run of one scheme"),
-        ("compare", "time-splitting vs power-splitting over a p grid"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        cmd.set_defaults(command_parser=cmd)
-        cmd.add_argument("--config", help="flat key = value config file")
-        cmd.add_argument("--output", help="CSV output path (default: stdout)")
-        # values stay strings here: _parse checks flags and config lines alike
-        for key, (parse, _) in _KEYS.items():
-            cmd.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                             help="comma-separated values" if parse is _grid else None)
+    parser.add_argument("command", choices=_COMMANDS, help=(
+        "analytic: tabulate closed-form ages and rates over (rho, w) grids; "
+        "optimize: optimal split ratio per weight over a w grid; "
+        "simulate: Monte Carlo run of one scheme; "
+        "compare: time-splitting vs power-splitting over a p grid"))
+    parser.add_argument("--config", help="flat key = value config file")
+    parser.add_argument("--output", help="CSV output path (default: stdout)")
+    # values stay strings here: _parse checks flags and config lines alike
+    for key, (parse, _) in _KEYS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                            help="comma-separated values" if parse is _grid else None)
     return parser
 
 
@@ -290,9 +286,14 @@ def cmd_compare(spec: RunSpec) -> int:
     theta = spec.params.theta
     w = spec.params.weight_uplink
     columns = ["p", "rho_ts", "R_ps", "R_ts", "aoi_ps", "aoi_ts"]
+    # the whole grid is checked before the first run; a p whose split rounds
+    # to an edge (1e-300 gives rho_ts = 1) is named here, not as that rho
+    split = [(p, ts_equivalent_rho(p, theta)) for p in spec.p_grid]
+    for p, rho_ts in split:
+        if not 0.0 < rho_ts < 1.0:
+            raise ValueError(f"p = {p!r} gives rho_ts = {rho_ts!r}, outside (0, 1)")
     rows = []
-    for p in spec.p_grid:
-        rho_ts = ts_equivalent_rho(p, theta)
+    for p, rho_ts in split:
         ts = run_time_splitting(spec.params, p, replace(spec.sim, scheme="time_split", gen_prob=p))
         ps = run_power_splitting(spec.params, rho_ts,
                                  replace(spec.sim, scheme="power_split", gen_prob=None))
@@ -313,12 +314,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    # argparse hands a command's unknown flags back to the top-level parser,
-    # whose usage line does not list them; report them with the command's own
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:
-        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = build_parser().parse_args(argv)
     try:
         spec = merge_spec(args)
         return _COMMANDS[args.command](spec)

@@ -159,13 +159,11 @@ def aoi_second_derivative(params: SystemParams, rho: float, w: float) -> float:
 
 def newton_solve(params: SystemParams, w: float, opts: OptOptions | None = None) -> OptResult:
     """Minimize the weighted-sum average age over rho for a fixed weight w."""
-    opts = opts or OptOptions()
-    _check(opts.boundary_eps, w)
     return sweep_w(params, [w], opts)[0].result
 
 
 def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> list[SweepPoint]:
-    """Minimize over rho for each weight in a sorted grid.
+    """Minimize over rho for each weight in a grid.
 
     The weights are lanes of one array iteration: each lane takes the steps
     of a lone solve of its weight (no warm starting, so results do not depend
@@ -173,10 +171,9 @@ def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> lis
     Failures are carried per point in the OptResult rather than raised.
     """
     grid = [float(w) for w in w_grid]
-    if any(not (0.0 <= w <= 1.0) for w in grid):
-        raise ValueError("w grid values must lie in [0, 1]")
-    if grid != sorted(grid):
-        raise ValueError("w grid must be sorted ascending")
+    for w in grid:
+        if not (0.0 <= w <= 1.0):
+            raise ValueError(f"w must be in [0, 1], got {w!r}")
     opts = opts or OptOptions()
     forms = ClosedForms(params)   # every evaluation below reuses its constants
     w = np.array(grid)

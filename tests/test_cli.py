@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twoway_aoi import cli
 from twoway_aoi.cli import main
 
 
@@ -315,6 +316,19 @@ def test_compare_columns_and_determinism(tmp_path):
     assert float(rows[1][1]) == pytest.approx(0.58, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid,named", [("0.01,0.9", "0.9"), ("1e-300", "p = 1e-300")],
+                         ids=["unstable_after_stable", "split_rounds_to_one"])
+def test_compare_checks_every_p_before_it_simulates(monkeypatch, capsys, grid, named):
+    def simulated(*args):
+        raise AssertionError("a run started before the whole p grid was checked")
+    monkeypatch.setattr(cli, "run_time_splitting", simulated)
+    monkeypatch.setattr(cli, "run_power_splitting", simulated)
+    code, out, err = run_cli(["compare", "--p-grid", grid], capsys)
+    assert code == 1
+    assert out == ""
+    assert named in err
+
+
 # ---------------------------------------------------------------------------
 # validation and I/O failures
 
@@ -385,9 +399,27 @@ def test_usage_error_is_validation_error(argv, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage:" in err
-    if argv:
-        # the usage line of the command, which lists the flags it accepts
-        assert "usage: twoway-aoi simulate" in err
+    # the one usage line names every flag, and every command takes them all
+    assert "--num-blocks" in err
+
+
+def test_version_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "twoway-aoi 0.1.0\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_lists_every_flag_and_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in cli._KEYS:
+        assert f"--{key.replace('_', '-')}" in out
+    for name in cli._COMMANDS:
+        assert f"{name}:" in out
 
 
 def test_config_directory_is_io_error(tmp_path, capsys):

@@ -154,10 +154,10 @@ def test_sweep_monotone_and_boundaries():
 
 
 def test_sweep_validates_grid():
-    with pytest.raises(ValueError):
-        sweep_w(REF, [0.5, 0.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="w must be"):
         sweep_w(REF, [-0.1, 0.5])
+    with pytest.raises(ValueError, match="w must be"):
+        newton_solve(REF, 1.5)
 
 
 def test_options_validation():
@@ -373,7 +373,7 @@ def test_sweep_lanes_share_no_state(fields, rho_init, tol, max_iters, interior, 
     # lone solve does, and as the scalar loop does, trace rows included
     params = SystemParams(**fields)
     opts = OptOptions(rho_init=rho_init, tol=tol, max_iters=max_iters)
-    grid = sorted([*interior, *edges])
+    grid = [*interior, *edges]   # in drawn order: the lanes need no sorting
     got = sweep_w(params, grid, opts)
     assert got == [SweepPoint(w, newton_solve(params, w, opts)) for w in grid]
     assert got == [SweepPoint(w, _loop_solve(params, w, opts)) for w in grid]
