@@ -11,7 +11,8 @@ discrete blocks.
 lambda theta d^alpha, c = y / theta and the harvest-slot moments) and
 evaluates the rest per split ratio; the functions that take ``params`` build
 one per call, so both routes run the same float operations. Loads and
-ratios may be floats or numpy arrays; an overflow gives inf, not a warning.
+ratios may be floats or numpy arrays; an overflow gives inf, not a warning,
+except in the harvest-slot moments, which raise OverflowError.
 
 Two uplink forms are exposed. ``renewal`` composes the compound moments
 with the renewal formula and is the default; ``literal`` reproduces the
@@ -109,11 +110,9 @@ def renewal_aoi(moments: MomentPair):
     return _unbounded((abs(m1) == math.inf) | (abs(m2) == math.inf), m1 + 0.5 + m2 / (2.0 * m1))
 
 
-@np.errstate(all="ignore")
 def avg_downlink_aoi(dl_load):
     """Average downlink age in blocks; infinite when the load is unbounded."""
-    x = dl_load
-    return _unbounded(abs(x) == math.inf, 1.0 + x + (x * x + 4.0 * x + 2.0) / (2.0 * (1.0 + x)))
+    return renewal_aoi(downlink_service_moments(dl_load))
 
 
 def harvest_slot_pmf(eta: float, j: int) -> float:
@@ -136,7 +135,10 @@ def harvest_slot_moments(eta: float) -> MomentPair:
         raise ValueError(f"eta must be > 0, got {eta!r}")
     mu = 1.0 / eta
     tail = math.exp(-mu)
-    return MomentPair(mu + tail, mu * mu + mu + tail)
+    m2 = mu * mu + mu + tail
+    if math.isinf(m2):
+        raise OverflowError(f"harvest-slot moment overflows at eta {eta!r}")
+    return MomentPair(mu + tail, m2)
 
 
 @np.errstate(all="ignore")
@@ -212,8 +214,6 @@ class ClosedForms:
         # form keeps the gradient's root where y is subnormal (0 if theta is 0)
         self.c = self.y / self.theta if self.theta else 0.0
         self.slot = harvest_slot_moments(params.harvest_eff)
-        if math.isinf(self.slot.m2):
-            raise OverflowError(f"harvest-slot moment overflows at eta {params.harvest_eff!r}")
 
     def loads(self, rho: float) -> tuple[float, float]:
         """(dl_load, ul_load) at split ``rho``; infinite at a boundary ratio."""
@@ -221,12 +221,12 @@ class ClosedForms:
 
     def ages(self, rho: float) -> tuple[float, float]:
         """Average (downlink, uplink) ages in blocks at split ``rho``."""
-        dl_load, ul_load = split_loads(self.theta, self.y, rho)
+        dl_load, ul_load = self.loads(rho)
         return avg_downlink_aoi(dl_load), renewal_aoi(_compound_moments(ul_load, self.slot))
 
     def rates(self, rho: float) -> tuple[float, float]:
         """Long-run (downlink, uplink) throughput in packets per block at split ``rho``."""
-        dl_load, ul_load = split_loads(self.theta, self.y, rho)
+        dl_load, ul_load = self.loads(rho)
         return (1.0 / downlink_service_moments(dl_load).m1,
                 1.0 / _compound_moments(ul_load, self.slot).m1)
 

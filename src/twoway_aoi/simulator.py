@@ -275,8 +275,6 @@ def aoi_from_path(deliveries) -> float:
     between the first and last delivery.
     """
     d, s = _check_deliveries(deliveries)
-    if len(d) < 2:
-        raise ValueError("need at least two deliveries to form a span")
     # the age over epochs d_0 .. d_last - 1, reset to s_0 + 1 at the first delivery
     total = _age_sum(d[1:], s[1:] + 1, int(d[0]) - 1, int(d[-1]) - 1, (int(d[0]), int(s[0]) + 1))
     return total / int(d[-1] - d[0])
@@ -290,8 +288,6 @@ def aoi_via_qk(deliveries) -> float:
     :func:`aoi_from_path`; the two differ only by window-edge triangles.
     """
     d, s = _check_deliveries(deliveries)
-    if len(d) < 2:
-        raise ValueError("need at least two deliveries to form a span")
     span = int(d[-1] - d[0])
     prev, cur = s[:-1], s[1:]
     q = (prev + cur) * (prev + cur + 1) // 2 - cur * (cur + 1) // 2
@@ -304,6 +300,8 @@ def _check_deliveries(deliveries):
         raise ValueError("delivery list is empty")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("deliveries must be (delivery_epoch, service_time) pairs")
+    if len(arr) < 2:
+        raise ValueError("need at least two deliveries to form a span")
     d, s = arr[:, 0], arr[:, 1]
     if np.any(np.diff(d) <= 0):
         raise ValueError("delivery epochs must be strictly increasing")
@@ -319,7 +317,8 @@ def _check_deliveries(deliveries):
 class _Schedule:
     """What the transmit schedule carries from one chunk of blocks to the next."""
 
-    def __init__(self):
+    def __init__(self, horizon: int):
+        self.horizon = horizon   # the run's last block
         self.offset = 0          # blocks fed so far
         self.energy = 0.0        # cumulative harvest through block ``offset``
         self.crossings = 0       # threshold multiples banked so far
@@ -354,8 +353,11 @@ def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedul
     hi = lo + len(energy_cum)
     if len(energy_cum):
         state.energy = float(energy_cum[-1])
-        # one target past the quotient, which can round below a multiple already banked
-        k_hi = int(float(energy_cum[-1]) / threshold) + 1
+        # one target past the quotient, which can round below a multiple already banked, and
+        # none the horizon cannot send (a send moves last_tx >= 1 block, so cap never grows)
+        cap = state.sent + state.horizon - state.last_tx
+        q = float(energy_cum[-1]) / threshold
+        k_hi = cap if q >= cap else int(q) + 1
         targets = threshold * np.arange(state.crossings + 1, k_hi + 1)
         idx = np.searchsorted(energy_cum, targets, side="left")
         cross = idx[idx < len(energy_cum)] + (lo + 1)    # the others cross in later chunks
@@ -449,21 +451,17 @@ class _Deliveries:
 
 
 def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
-    """Per chunk: zero-wait downlink deliveries and the energy harvested in every block."""
-    lam = params.channel_rate
+    """Per chunk: zero-wait downlink deliveries; no block is a data block."""
     dl_stream = make_stream(cfg.seed, rep, "dl_gain")
-    hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     walk = _Walk(params.packet_nats)
     for lo, hi in _chunks(cfg.num_blocks):
-        gain = sample_gain(dl_stream, lam, hi - lo)
-        nats = per_block_downlink_nats(params, rho, gain, cfg.snr_mode)
-        slots, services = walk.completions(nats)
-        harvest = harvested_energy(params, rho, sample_gain(hv_stream, lam, hi - lo))
-        yield lo, hi, (slots + 1, services, services), harvest, np.zeros(hi - lo, dtype=bool)
+        gain = sample_gain(dl_stream, params.channel_rate, hi - lo)
+        slots, services = walk.completions(per_block_downlink_nats(params, rho, gain, cfg.snr_mode))
+        yield lo, hi, (slots + 1, services, services), np.zeros(hi - lo, dtype=bool)
 
 
-def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int):
-    """Per chunk: FCFS downlink deliveries, idle-block harvest and the data blocks.
+def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int):
+    """Per chunk: FCFS downlink deliveries at ``cfg.gen_prob`` and the data blocks.
 
     The access point serves queued packets in arrival order at full power,
     one data block per block, and transfers energy while the queue is
@@ -474,10 +472,8 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
     its arrival, so the walk may finish services of packets that have not
     arrived yet.
     """
-    lam = params.channel_rate
     gen = make_stream(cfg.seed, rep, "packet_gen")
     dl_stream = make_stream(cfg.seed, rep, "dl_gain")
-    hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     walk = _Walk(params.packet_nats)            # over data blocks
     arrivals = np.empty(0, dtype=np.int64)      # arrival blocks of the undelivered packets
     services = np.empty(0, dtype=np.int64)      # data blocks of those packets and the next ones
@@ -485,8 +481,8 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
     used = 0            # data blocks served so far
     for lo, hi in _chunks(cfg.num_blocks):
         u = gen.random(hi - lo)
-        arrivals = np.concatenate((arrivals, np.flatnonzero(u < gen_prob) + (lo + 1)))
-        gain = sample_gain(dl_stream, lam, max(used + hi - lo - walk.fed, 0))
+        arrivals = np.concatenate((arrivals, np.flatnonzero(u < cfg.gen_prob) + (lo + 1)))
+        gain = sample_gain(dl_stream, params.channel_rate, max(used + hi - lo - walk.fed, 0))
         _, new = walk.completions(per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode))
         services = np.concatenate((services, new))
         m = min(len(arrivals), len(services))
@@ -505,9 +501,7 @@ def _ts_downlink(params: SystemParams, gen_prob: float, cfg: SimConfig, rep: int
         dl = (done[:k], done[:k] - (arrivals[:k] - 1), services[:k])
         free = int(done[k - 1]) if k else free
         arrivals, services = arrivals[k:], services[k:]
-        harvest = harvested_energy(params, 1.0, sample_gain(hv_stream, lam, hi - lo))
-        harvest[busy] = 0.0     # full power while idle, nothing while sending
-        yield lo, hi, dl, harvest, busy
+        yield lo, hi, dl, busy
 
 
 def _fcfs(arrivals, services, free: int):
@@ -520,23 +514,28 @@ def _fcfs(arrivals, services, free: int):
     return slack + cum_s
 
 
-def _replication(params: SystemParams, rho: float, cfg: SimConfig, downlink, rep: int):
+def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     """One replication: the scheme's downlink, the device's uplink, the summary.
 
-    The uplink half is shared. ``downlink(cfg, rep)`` yields, for each chunk
-    of blocks lo+1..hi from :func:`_chunks`, ``(lo, hi, dl, harvest, busy)``:
-    the downlink's (delivery blocks, system times, service times), the
-    energy banked in each block, and the mask of time-split data blocks, in
-    which nothing is harvested (all false under power splitting). ``rho``
-    fixes the device transmit power and so the energy threshold.
-    Replication 0 streams the trace dump, if the config asks for one.
+    The downlink of ``cfg.scheme`` yields, per chunk of blocks lo+1..hi,
+    ``(lo, hi, dl, busy)``: (delivery blocks, system times, service times)
+    and the mask of time-split data blocks. The device harvests at power
+    fraction ``rho`` (power split) or 1 (time split), and nothing in a data
+    block; ``rho`` also fixes its transmit power and so the energy threshold.
+    Returns the summary and the window's counts of downlink services, uplink
+    services and harvest slots by length. Replication 0 writes the trace.
     """
     n = cfg.num_blocks
     warmup = cfg.resolved_warmup()
     lam = params.channel_rate
+    if cfg.scheme == "power_split":
+        downlink, power = _ps_downlink(params, rho, cfg, rep), rho
+    else:
+        downlink, power = _ts_downlink(params, cfg, rep), 1.0
     threshold = uplink_energy_threshold(params, rho)
+    hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     ul_stream = make_stream(cfg.seed, rep, "ul_gain")
-    schedule = _Schedule()
+    schedule = _Schedule(n)
     walk = _Walk(params.packet_nats)        # over transmit blocks
     dl, ul = _Deliveries(warmup), _Deliveries(warmup)
     ul_last = 0
@@ -546,7 +545,9 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, downlink, rep
     with open(cfg.trace_path, "w", encoding="utf-8") if tracing else nullcontext() as trace:
         if trace is not None:
             trace.write(_TRACE_HEADER)
-        for lo, hi, dl_chunk, harvest, busy in downlink(cfg, rep):
+        for lo, hi, dl_chunk, busy in downlink:
+            harvest = harvested_energy(params, power, sample_gain(hv_stream, lam, hi - lo))
+            harvest[busy] = 0.0
             energy_cum = np.cumsum(np.concatenate(([schedule.energy], harvest)))[1:]
             sent = schedule.sent
             tx, gaps = _transmit_schedule(energy_cum, threshold, schedule)
@@ -577,45 +578,44 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, downlink, rep
         final_buffer_joules=schedule.energy - threshold * schedule.sent,
         energy_block_fraction=energy_blocks / span,
     )
-    return stats, _hist(dl.counts), _hist(ul.counts), _hist(slot_counts)
+    return stats, dl.counts, ul.counts, slot_counts
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-def _merge_hists(hists) -> dict[int, int]:
-    merged: dict[int, int] = {}
-    for h in hists:
-        for j, c in h.items():
-            merged[j] = merged.get(j, 0) + c
-    return dict(sorted(merged.items()))
+def _mean_se(values) -> tuple[float, float]:
+    """Cross-replication mean and standard error (nan for one replication)."""
+    v = np.asarray(values)
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else math.nan
+
+
+def _summed_hist(counts) -> dict[int, int]:
+    """The histogram of count arrays of different lengths, summed."""
+    total = np.zeros(max(map(len, counts)), dtype=np.int64)
+    for c in counts:
+        total[: len(c)] += c
+    return _hist(total)
 
 
 def _aggregate(params, cfg, rep_outputs) -> SimReport:
     stats = [out[0] for out in rep_outputs]
-    r = len(stats)
-    dl_means = np.array([s.mean_dl_aoi for s in stats])
-    ul_means = np.array([s.mean_ul_aoi for s in stats])
-    mean_dl = float(dl_means.mean())
-    mean_ul = float(ul_means.mean())
-    if r > 1:
-        se_dl = float(dl_means.std(ddof=1) / math.sqrt(r))
-        se_ul = float(ul_means.std(ddof=1) / math.sqrt(r))
-    else:
-        se_dl = se_ul = math.nan
+    mean_dl, se_dl = _mean_se([s.mean_dl_aoi for s in stats])
+    mean_ul, se_ul = _mean_se([s.mean_ul_aoi for s in stats])
+    dl_counts, ul_counts, slot_counts = zip(*(out[1:] for out in rep_outputs))
     return SimReport(
         mean_dl_aoi=mean_dl,
         mean_ul_aoi=mean_ul,
         weighted_aoi=weighted_sum(params.weight_uplink, mean_dl, mean_ul),
         dl_rate=float(np.mean([s.dl_rate for s in stats])),
         ul_rate=float(np.mean([s.ul_rate for s in stats])),
-        dl_service_hist=_merge_hists(out[1] for out in rep_outputs),
-        ul_service_hist=_merge_hists(out[2] for out in rep_outputs),
-        harvest_slot_hist=_merge_hists(out[3] for out in rep_outputs),
+        dl_service_hist=_summed_hist(dl_counts),
+        ul_service_hist=_summed_hist(ul_counts),
+        harvest_slot_hist=_summed_hist(slot_counts),
         std_error_dl_aoi=se_dl,
         std_error_ul_aoi=se_ul,
-        blocks_simulated=r * cfg.num_blocks,
+        blocks_simulated=len(stats) * cfg.num_blocks,
         energy_block_fraction=float(np.mean([s.energy_block_fraction for s in stats])),
         per_replication=tuple(stats),
     )
@@ -627,7 +627,7 @@ def run_power_splitting(params: SystemParams, rho: float, config: SimConfig) -> 
         raise ValueError(f"rho must be in (0, 1) for a simulation run, got {rho!r}")
     if config.scheme != "power_split":
         raise ValueError("config.scheme must be 'power_split' for run_power_splitting")
-    return _run(params, rho, config, partial(_ps_downlink, params, rho))
+    return _run(params, rho, config)
 
 
 def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig) -> SimReport:
@@ -641,13 +641,12 @@ def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig)
         raise ValueError("config.scheme must be 'time_split' for run_time_splitting")
     if config.gen_prob != gen_prob:
         raise ValueError(f"gen_prob {gen_prob!r} differs from config.gen_prob {config.gen_prob!r}")
-    return _run(params, rho_ts, config, partial(_ts_downlink, params, gen_prob))
+    return _run(params, rho_ts, config)
 
 
-def _run(params: SystemParams, rho: float, config: SimConfig, downlink) -> SimReport:
+def _run(params: SystemParams, rho: float, config: SimConfig) -> SimReport:
     """Aggregate the replications; ``rho`` fixes the device power (see :func:`_replication`)."""
-    outputs = _map_ordered(partial(_replication, params, rho, config, downlink),
-                           range(config.replications))
+    outputs = _map_ordered(partial(_replication, params, rho, config), range(config.replications))
     return _aggregate(params, config, outputs)
 
 

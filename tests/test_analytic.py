@@ -117,10 +117,15 @@ def test_avg_downlink_aoi_values():
 
 
 def test_downlink_identity_on_log_grid():
-    for load in np.geomspace(1e-6, 1e4, 100):
-        direct = avg_downlink_aoi(load)
-        composed = renewal_aoi(downlink_service_moments(load))
-        assert direct == pytest.approx(composed, rel=1e-12)
+    # the renewal age of the shifted-Poisson moments, expanded by hand
+    for x in np.geomspace(1e-6, 1e4, 100):
+        expanded = 1.0 + x + (x * x + 4.0 * x + 2.0) / (2.0 * (1.0 + x))
+        assert avg_downlink_aoi(x) == pytest.approx(expanded, rel=1e-12)
+
+
+def test_avg_downlink_aoi_rejects_a_negative_load():
+    with pytest.raises(ValueError, match="dl_load"):
+        avg_downlink_aoi(-1.0)
 
 
 def test_downlink_aoi_increasing_in_load():
@@ -165,6 +170,18 @@ def test_harvest_slot_large_eta_limit():
     m = harvest_slot_moments(1e6)
     assert m.m1 == pytest.approx(1.0, abs=1e-5)
     assert m.m2 == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: harvest_slot_moments(1e-300),
+    lambda: uplink_service_moments(0.1, 1e-300),
+    lambda: avg_uplink_aoi(0.1, 1e-300),
+    lambda: avg_uplink_aoi(0.1, 1e-300, "literal"),
+], ids=["harvest_slot_moments", "uplink_service_moments", "renewal_age", "literal_age"])
+def test_harvest_slot_overflow_names_eta(call):
+    # 1/eta squared overflows; the message names eta, not an errno tuple
+    with pytest.raises(OverflowError, match="eta 1e-300"):
+        call()
 
 
 def test_harvest_identity_mean_minus_mu_is_zero_prob():

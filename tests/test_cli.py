@@ -329,6 +329,19 @@ def test_compare_checks_every_p_before_it_simulates(monkeypatch, capsys, grid, n
     assert named in err
 
 
+def test_compare_at_the_edge_of_the_stable_region(capsys):
+    # rho_ts = 6.7e-16: the idle time-split blocks bank about 8e17 threshold
+    # multiples (5.56 EiB of targets), far more than 20,000 blocks can send
+    code, out, err = run_cli(["compare", "--p-grid", "0.0357142857142857",
+                              "--num-blocks", "20000"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows == [["0.0357142857143", "6.66133814775e-16", "0.017904040404",
+                     "0.0170202020202", "5071.67020202", "5197.10146465"]]
+    # neither scheme delivers two uplink packets in the window
+    assert err.count("warning: ") == 2
+
+
 # ---------------------------------------------------------------------------
 # validation and I/O failures
 

@@ -508,7 +508,7 @@ def test_config_validation():
 def test_energy_causality_violation_is_numerical_failure():
     # a cumulative path that falls back below a crossing it already made
     with pytest.raises(ArithmeticError, match="energy causality"):
-        _transmit_schedule(np.array([0.3, 3.9, 2.6, 3.8, 1.4, 3.0]), 1.0, simulator._Schedule())
+        _transmit_schedule(np.array([0.3, 3.9, 2.6, 3.8, 1.4, 3.0]), 1.0, simulator._Schedule(6))
 
 
 def test_warmup_default_is_one_percent():
@@ -763,6 +763,17 @@ def test_replication_memory_does_not_grow_with_horizon(run, x, scheme, gen_prob)
     # whole-horizon arrays took about 35 bytes per block: 70 MB at 2e6 blocks
     assert peaks[1] < 12e6
     assert peaks[1] < peaks[0] + 2e6
+
+
+def test_schedule_banks_no_crossing_the_horizon_cannot_send():
+    # at rho_ts = 1e-6 an idle block banks about eta / rho_ts = 5e5 threshold
+    # multiples; a schedule that placed them all was killed for lack of memory
+    # at 20,000 blocks. Peaks measured 12.03-12.79 MB over 8 seeds at rho_ts
+    # 5e-7 to 1e-4 (the search stops at the horizon's blocks, so the peak
+    # grows with the horizon: 2.3 MB at 20,000 blocks)
+    p = (1.0 - 1e-6) / (1.0 + REF.theta)
+    cfg = SimConfig(num_blocks=200_000, seed=1, scheme="time_split", gen_prob=p)
+    assert _peak_bytes(run_time_splitting, p, cfg) < 16e6
 
 
 def test_time_split_draws_downlink_gains_only_for_served_blocks(monkeypatch):
