@@ -523,7 +523,7 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     fraction ``rho`` (power split) or 1 (time split), and nothing in a data
     block; ``rho`` also fixes its transmit power and so the energy threshold.
     Returns the summary and the window's counts of downlink services, uplink
-    services and harvest slots by length. Replication 0 writes the trace.
+    services and harvest slots by length. Replication 0 writes any trace asked for.
     """
     n = cfg.num_blocks
     warmup = cfg.resolved_warmup()
