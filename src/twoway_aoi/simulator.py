@@ -26,8 +26,8 @@ blocks. Every random stream is drawn chunk by chunk, and the running sums,
 packet anchors, threshold crossings, FCFS queue and age paths carry across
 chunk boundaries, so the report does not depend on the chunk size and a
 replication's memory does not grow with the horizon. The exception is the
-transmit backlog, one byte per banked crossing not yet sent (see
-``_transmit_schedule``).
+transmit backlog, about one byte per block not yet stretched to its
+transmissions (see ``_transmit_schedule``).
 
 Replications are seeded independently from (seed, replication, stream
 tag) and aggregated in index order, so a report is a pure function of its
@@ -321,17 +321,18 @@ class _Schedule:
         self.horizon = horizon   # the run's last block
         self.offset = 0          # blocks fed so far
         self.energy = 0.0        # cumulative harvest through block ``offset``
-        self.crossings = 0       # threshold multiples banked so far
-        self.last_cross = 0      # block of the latest crossing
+        self.banked = 0.0        # threshold multiples banked through block ``offset``
         self.last_tx = 1         # latest transmit block returned (a virtual one at first)
         self.sent = 0            # transmissions returned so far
-        # spacings max(1, m_k - m_{k-1}) of the crossings not yet transmitted, oldest
-        # first, one array per chunk in the narrowest integer type that holds them
-        self.backlog = deque()
+        # the count of each block not yet stretched past block ``offset``, one narrow array
+        # per chunk; the oldest one's run starts at block offset + 1. Block 0 counts none
+        # and takes block 1, the virtual transmission.
+        self.backlog = deque([np.zeros(1, dtype=np.int8)])
 
 
-def _narrow(spacing: np.ndarray) -> np.ndarray:
-    return spacing.astype(np.min_scalar_type(int(spacing.max())))
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    # signed: uint64 mixed with int64 promotes to float64
+    return counts.astype(np.min_scalar_type(min(int(counts.min()), -1 - int(counts.max()))))
 
 
 def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedule):
@@ -339,48 +340,46 @@ def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedul
 
     Crossing block m_k is the block in which the k-th multiple of the
     threshold is banked; transmissions are spaced max(1, m_k - m_{k-1})
-    blocks apart, starting one block after the first crossing. Returns
-    (tx_blocks 1-based, gaps aligned with tx_blocks[1:]).
+    blocks apart, starting one block after the first crossing. So block b,
+    stretched to max(1, c) blocks where c counts the multiples it banks,
+    becomes c transmit blocks in a row, or one idle block if c = 0.
+    Returns (tx_blocks 1-based, gaps aligned with tx_blocks[1:]).
 
     The path is fed chunk by chunk with the same ``state``: ``energy_cum``
     covers the blocks after ``state.offset``, and the call returns the
     transmissions in those blocks, with the gaps of those that have a
-    predecessor. The spacings average 1/eta + exp(-1/eta)
-    blocks against 1/eta between crossings, so crossings outrun
-    transmissions and the state keeps the spacings of the unsent ones.
+    predecessor.
     """
     lo, banked = state.offset, state.energy
     hi = lo + len(energy_cum)
-    if len(energy_cum):
-        state.energy = float(energy_cum[-1])
-        # one target past the quotient, which can round below a multiple already banked, and
-        # none the horizon cannot send (a send moves last_tx >= 1 block, so cap never grows)
-        cap = state.sent + state.horizon - state.last_tx
-        q = float(energy_cum[-1]) / threshold
-        k_hi = cap if q >= cap else int(q) + 1
-        targets = threshold * np.arange(state.crossings + 1, k_hi + 1)
-        idx = np.searchsorted(energy_cum, targets, side="left")
-        cross = idx[idx < len(energy_cum)] + (lo + 1)    # the others cross in later chunks
-        if len(cross):
-            # after the virtual transmission at block 1 (crossing 0) the first one is m_1 + 1
-            spacing = np.maximum(1, np.diff(cross, prepend=state.last_cross))
-            state.backlog.append(_narrow(spacing))
-            state.crossings += len(cross)
-            state.last_cross = int(cross[-1])
-    # every spacing is >= 1, so at most hi - last_tx of the oldest ones fit
-    parts, room = [], hi - state.last_tx
-    while state.backlog and room > 0:
-        part = state.backlog.popleft()
-        parts.append(part[:room])
-        if len(part) > room:
-            state.backlog.appendleft(part[room:])
-        room -= len(parts[-1])
-    gaps = np.concatenate(parts).astype(np.int64) if parts else np.empty(0, dtype=np.int64)
-    tx = state.last_tx + np.cumsum(gaps)
-    m = int(np.searchsorted(tx, hi, side="right"))
-    if m < len(tx):
-        state.backlog.appendleft(_narrow(gaps[m:]))
-    tx, gaps = tx[:m], gaps[:m]
+    state.offset, state.energy = hi, float(energy_cum[-1])
+    # multiples banked through each block, corrected by the products the crossings compare
+    q = energy_cum / threshold
+    np.floor(q, out=q)
+    q += threshold * (q + 1) <= energy_cum
+    q -= threshold * q > energy_cum
+    # no block sends more than the horizon has blocks. Not clipped below: a block where
+    # the path falls counts < 0 and still sends once, so the causality check fires.
+    banks = np.diff(q, prepend=state.banked)
+    state.backlog.append(_narrow(np.minimum(banks, state.horizon, out=banks)))
+    state.banked = float(q[-1])
+    # ends: the last block of each run. Every block takes at least one block, so
+    # block hi's run ends past hi and the loop ends before the backlog does.
+    counts, ends = [], [np.array([lo])]
+    while ends[-1][-1] <= hi:
+        counts.append(state.backlog.popleft())
+        ends.append(ends[-1][-1] + np.cumsum(np.maximum(counts[-1], 1, dtype=np.int64)))
+    counts, ends = np.concatenate(counts), np.concatenate(ends[1:])
+    k = int(np.searchsorted(ends, hi, side="right"))
+    keep = np.ones(hi - lo, dtype=bool)     # all but the idle blocks
+    keep[ends[np.flatnonzero(counts[:k] == 0)] - (lo + 1)] = False
+    tx = np.flatnonzero(keep) + (lo + 1)
+    # the first run past hi keeps the count of its blocks after hi
+    rest = _narrow(counts[k:])
+    rest[0] = min(rest[0], ends[k] - hi)
+    state.backlog.appendleft(rest)
+    m = len(tx)
+    gaps = np.diff(tx, prepend=state.last_tx)
     if m:
         # the banked energy must cover every scheduled transmission
         spent = threshold * np.arange(state.sent + 1, state.sent + m + 1)
@@ -392,7 +391,6 @@ def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedul
     if state.sent == 0:
         gaps = gaps[1:]      # the first transmission has no predecessor
     state.sent += m
-    state.offset = hi
     return tx, gaps
 
 

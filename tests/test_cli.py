@@ -1,5 +1,6 @@
 """Command-line surface: merging, CSV format, reproducibility, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -340,6 +341,19 @@ def test_compare_at_the_edge_of_the_stable_region(capsys):
                      "0.0170202020202", "5071.67020202", "5197.10146465"]]
     # neither scheme delivers two uplink packets in the window
     assert err.count("warning: ") == 2
+
+
+def test_time_split_at_the_edge_of_the_stable_region_over_a_long_horizon(capsys):
+    # rho_ts = 3.3e-16: the idle blocks bank 1.7e19 threshold multiples, past
+    # the int64 range and past 2**53, where q + 1 == q in float64
+    code, out, err = run_cli(["simulate", "--scheme", "time_split",
+                              "--gen-prob", "0.03571428571428571",
+                              "--num-blocks", "2000000"], capsys)
+    assert code == 0
+    assert err.count("warning: time_split: 1 of 1 replications delivered fewer than two "
+                     "uplink packets") == 1
+    # every printed byte, pinned by digest
+    assert hashlib.md5(out.encode()).hexdigest() == "7ca1796d7c72312b39990795e5540176"
 
 
 # ---------------------------------------------------------------------------

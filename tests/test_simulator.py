@@ -511,6 +511,45 @@ def test_energy_causality_violation_is_numerical_failure():
         _transmit_schedule(np.array([0.3, 3.9, 2.6, 3.8, 1.4, 3.0]), 1.0, simulator._Schedule(6))
 
 
+def test_schedule_clips_counts_to_the_horizon():
+    # 5e300 multiples per block, past the int64 range: the reference loops
+    # cannot enumerate them, and only the horizon's 4 blocks can send
+    tx, gaps = _transmit_schedule(np.array([0.0, 5.0, 10.0, 10.0]), 1e-300, simulator._Schedule(4))
+    assert tx.tolist() == [3, 4]
+    assert gaps.tolist() == [1]
+
+
+# runs of zero harvest, tenths that round when summed, and sizes up to many thresholds
+_HARVEST = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3]), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(harvest=st.lists(_HARVEST, min_size=1, max_size=120),
+       threshold=st.one_of(st.sampled_from([0.01, 0.1, 0.3, 1.0]), st.floats(0.005, 8.0)),
+       short=st.integers(0, 120),
+       cuts=st.lists(st.integers(1, 119), max_size=8))
+@example(harvest=[0.0, 0.0, 5.0, 0.0, 5.0, 0.3], threshold=0.01, short=3, cuts=[3])
+# floor(e / threshold) is one multiple too many at 1.7 / 0.1 and one too few at 4.3 / 0.1
+@example(harvest=[1.7] + [0.0] * 20, threshold=0.1, short=0, cuts=[9])
+@example(harvest=[4.3] + [0.0] * 45, threshold=0.1, short=0, cuts=[])
+def test_schedule_matches_reference_loops(harvest, threshold, short, cuts):
+    # a horizon shorter than the path lets the horizon clip bind on a block
+    # that banks more multiples than the horizon has blocks
+    n = len(harvest)
+    horizon = max(1, n - short)
+    state = simulator._Schedule(horizon)
+    got_tx, got_gaps = [], []
+    for piece in np.split(np.asarray(harvest), sorted({c for c in cuts if c < n})):
+        energy_cum = np.cumsum(np.concatenate(([state.energy], piece)))[1:]
+        tx, gaps = _transmit_schedule(energy_cum, threshold, state)
+        got_tx += tx.tolist()
+        got_gaps += gaps.tolist()
+    assert [t for t in got_tx if t <= horizon] == _tx_schedule(_crossings(harvest, threshold),
+                                                               horizon)
+    assert got_gaps == np.diff(got_tx).tolist()
+    assert state.offset == n and state.sent == len(got_tx)
+
+
 def test_warmup_default_is_one_percent():
     assert SimConfig(num_blocks=1_000_000).resolved_warmup() == 10_000
     assert SimConfig(num_blocks=500, warmup_blocks=7).resolved_warmup() == 7
@@ -774,6 +813,18 @@ def test_schedule_banks_no_crossing_the_horizon_cannot_send():
     p = (1.0 - 1e-6) / (1.0 + REF.theta)
     cfg = SimConfig(num_blocks=200_000, seed=1, scheme="time_split", gen_prob=p)
     assert _peak_bytes(run_time_splitting, p, cfg) < 16e6
+
+
+def test_schedule_memory_near_saturation_grows_by_a_byte_per_block():
+    # at rho_ts = 3.3e-16 the first idle blocks bank more multiples than the
+    # horizon can send, so every later block waits in the backlog. The peak
+    # grew by 1.8-3.4 MB from 2e5 to 2e6 blocks over seeds 1-8, against
+    # +69-70 MB (seeds 1-3) when the backlog held one spacing per crossing
+    p = 0.0357142857142857
+    peaks = [_peak_bytes(run_time_splitting, p, SimConfig(num_blocks=n, seed=1,
+                                                          scheme="time_split", gen_prob=p))
+             for n in (200_000, 2_000_000)]
+    assert peaks[1] < peaks[0] + 6e6
 
 
 def test_time_split_draws_downlink_gains_only_for_served_blocks(monkeypatch):
