@@ -210,22 +210,25 @@ class _Walk:
         self.total = 0.0    # cumulative nats through the last slot fed
         self.anchor = 0.0   # cumulative nats at the latest completion
         self.fed = 0        # slots fed so far
-        self.last = -1      # stream index of the latest completion slot
+        self.last = 0       # block of the latest completion; the first packet is generated at 0
 
-    def completions(self, nats):
-        """Walk the next slots' nats: (stream indices of completion slots, services in slots)."""
+    def completions(self, nats, blocks=None):
+        """Walk the next slots' nats: (completion blocks, services in blocks).
+
+        ``blocks`` numbers this call's slots; by default stream slot i is block i + 1.
+        """
         # cumsum over [carry, chunk] rounds like one long cumsum; carry + cumsum(chunk) does not
         cum = np.cumsum(np.concatenate(([self.total], nats)))[1:]
         done = _walk_packets(cum, self.packet_nats, anchor=self.anchor)
-        slots = done + self.fed
-        services = np.diff(slots, prepend=self.last)
+        at = done + (self.fed + 1) if blocks is None else blocks[done]
+        services = np.diff(at, prepend=self.last)
         if len(done):
             self.anchor = float(cum[done[-1]])
-            self.last = int(slots[-1])
+            self.last = int(at[-1])
         if len(cum):
             self.total = float(cum[-1])
         self.fed += len(cum)
-        return slots, services
+        return at, services
 
 
 def _resets(reset_epochs, reset_values, horizon: int, last):
@@ -335,24 +338,27 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
     return counts.astype(np.min_scalar_type(min(int(counts.min()), -1 - int(counts.max()))))
 
 
-def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedule):
-    """Transmit blocks and harvest-slot gaps from a cumulative energy path.
+def _transmit_schedule(harvest: np.ndarray, threshold: float, state: _Schedule):
+    """Transmit blocks and harvest-slot gaps from the energy harvested per block.
 
     Crossing block m_k is the block in which the k-th multiple of the
     threshold is banked; transmissions are spaced max(1, m_k - m_{k-1})
     blocks apart, starting one block after the first crossing. So block b,
     stretched to max(1, c) blocks where c counts the multiples it banks,
     becomes c transmit blocks in a row, or one idle block if c = 0.
-    Returns (tx_blocks 1-based, gaps aligned with tx_blocks[1:]).
+    Returns (tx_blocks 1-based, gaps aligned with tx_blocks[1:], cumulative harvest).
 
-    The path is fed chunk by chunk with the same ``state``: ``energy_cum``
+    The harvests are fed chunk by chunk with the same ``state``: ``harvest``
     covers the blocks after ``state.offset``, and the call returns the
     transmissions in those blocks, with the gaps of those that have a
     predecessor.
     """
-    lo, banked = state.offset, state.energy
-    hi = lo + len(energy_cum)
-    state.offset, state.energy = hi, float(energy_cum[-1])
+    lo = state.offset
+    hi = lo + len(harvest)
+    # cumsum over [carry, chunk] rounds like one long cumsum; path[0] is the carried sum
+    path = np.cumsum(np.concatenate(([state.energy], harvest)))
+    energy_cum = path[1:]
+    state.offset, state.energy = hi, float(path[-1])
     # multiples banked through each block, corrected by the products the crossings compare
     q = energy_cum / threshold
     np.floor(q, out=q)
@@ -384,14 +390,14 @@ def _transmit_schedule(energy_cum: np.ndarray, threshold: float, state: _Schedul
         # the banked energy must cover every scheduled transmission
         spent = threshold * np.arange(state.sent + 1, state.sent + m + 1)
         # buffer at block start, harvests through tx-1
-        avail = np.concatenate(([banked], energy_cum))[tx - 1 - lo]
+        avail = path[tx - 1 - lo]
         if not np.all(avail - spent >= -1e-9 * threshold):
             raise ArithmeticError("uplink transmit schedule violates energy causality")
         state.last_tx = int(tx[-1])
     if state.sent == 0:
         gaps = gaps[1:]      # the first transmission has no predecessor
     state.sent += m
-    return tx, gaps
+    return tx, gaps, energy_cum
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +433,6 @@ class _Deliveries:
 
     def __init__(self, warmup: int):
         self.warmup = warmup
-        self.count = 0
         self.age_sum = 0
         self.counts = np.zeros(0, dtype=np.int64)     # window deliveries by service time
         self.last = (0, 0)      # latest reset (epoch, age); the age starts at 0
@@ -441,9 +446,7 @@ class _Deliveries:
         """
         resets, values = blocks + 1, system + 1
         self.age_sum += _age_sum(resets, values, max(self.warmup, lo), hi, self.last)
-        in_win = blocks > self.warmup
-        self.count += int(in_win.sum())
-        self.counts = _count(self.counts, services[in_win])
+        self.counts = _count(self.counts, services[blocks > self.warmup])
         if len(resets):
             self.last = (int(resets[-1]), int(values[-1]))
 
@@ -454,8 +457,8 @@ def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     walk = _Walk(params.packet_nats)
     for lo, hi in _chunks(cfg.num_blocks):
         gain = sample_gain(dl_stream, params.channel_rate, hi - lo)
-        slots, services = walk.completions(per_block_downlink_nats(params, rho, gain, cfg.snr_mode))
-        yield lo, hi, (slots + 1, services, services), np.zeros(hi - lo, dtype=bool)
+        done, services = walk.completions(per_block_downlink_nats(params, rho, gain, cfg.snr_mode))
+        yield lo, hi, (done, services, services), np.zeros(hi - lo, dtype=bool)
 
 
 def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int):
@@ -536,7 +539,6 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     schedule = _Schedule(n)
     walk = _Walk(params.packet_nats)        # over transmit blocks
     dl, ul = _Deliveries(warmup), _Deliveries(warmup)
-    ul_last = 0
     slot_counts = np.zeros(0, dtype=np.int64)
     energy_blocks = 0
     tracing = cfg.trace_path is not None and rep == 0
@@ -546,19 +548,14 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
         for lo, hi, dl_chunk, busy in downlink:
             harvest = harvested_energy(params, power, sample_gain(hv_stream, lam, hi - lo))
             harvest[busy] = 0.0
-            energy_cum = np.cumsum(np.concatenate(([schedule.energy], harvest)))[1:]
-            sent = schedule.sent
-            tx, gaps = _transmit_schedule(energy_cum, threshold, schedule)
+            tx, gaps, energy_cum = _transmit_schedule(harvest, threshold, schedule)
             gain = sample_gain(ul_stream, lam, len(tx))
-            slots, _ = walk.completions(per_block_uplink_nats(params, rho, gain, cfg.snr_mode))
-            ul_blocks = tx[slots - sent]
-            ul_services = np.diff(ul_blocks, prepend=ul_last)
-            if len(ul_blocks):
-                ul_last = int(ul_blocks[-1])
+            ul_blocks, ul_services = walk.completions(
+                per_block_uplink_nats(params, rho, gain, cfg.snr_mode), tx)
             if trace is not None:   # before the tallies move past this chunk
                 _write_trace(trace, _trace_frame(lo, hi, (dl, dl_chunk[:2]),
-                                                 (ul, (ul_blocks, ul_services)),
-                                                 tx, energy_cum, sent, threshold, busy))
+                                                 (ul, (ul_blocks, ul_services)), tx, energy_cum,
+                                                 schedule.sent - len(tx), threshold, busy))
             dl.add(*dl_chunk, lo, hi)
             ul.add(ul_blocks, ul_services, ul_services, lo, hi)
             gap_tx = tx[len(tx) - len(gaps):]
@@ -566,13 +563,14 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
             energy_blocks += int((~busy[max(warmup - lo, 0):]).sum())
 
     span = n - warmup
+    dl_packets, ul_packets = int(dl.counts.sum()), int(ul.counts.sum())
     stats = ReplicationStats(
         mean_dl_aoi=dl.age_sum / span,
         mean_ul_aoi=ul.age_sum / span,
-        dl_rate=dl.count / span,
-        ul_rate=ul.count / span,
-        dl_packets=dl.count,
-        ul_packets=ul.count,
+        dl_rate=dl_packets / span,
+        ul_rate=ul_packets / span,
+        dl_packets=dl_packets,
+        ul_packets=ul_packets,
         final_buffer_joules=schedule.energy - threshold * schedule.sent,
         energy_block_fraction=energy_blocks / span,
     )

@@ -203,11 +203,12 @@ def reference_time_split(params, p, n, seed, warmup, snr_mode="linear"):
     ul_gain = sample_gain(make_stream(seed, 0, "ul_gain"), lam, len(tx))
     ul_nats = [float(per_block_uplink_nats(params, rho_ts, g, snr_mode)) for g in ul_gain]
     ul_resets = {}
-    ul_blocks = []
+    ul_blocks, ul_services = [], []
     gen = 0
     for i in _drain(ul_nats, params.packet_nats):
         blk = tx[i]
         ul_blocks.append(blk)
+        ul_services.append(blk - gen)
         ul_resets[blk + 1] = blk + 1 - gen
         gen = blk
 
@@ -215,9 +216,13 @@ def reference_time_split(params, p, n, seed, warmup, snr_mode="linear"):
         "mean_dl_aoi": _mean_age_by_epoch(dl_resets, n, warmup),
         "mean_ul_aoi": _mean_age_by_epoch(ul_resets, n, warmup),
         "dl_rate": sum(warmup < b <= n for b in dl_blocks) / (n - warmup),
+        "ul_rate": sum(warmup < b <= n for b in ul_blocks) / (n - warmup),
         "dl_services": [s for b, s in zip(dl_blocks, dl_services) if warmup < b <= n],
+        "ul_services": [s for b, s in zip(ul_blocks, ul_services) if warmup < b <= n],
+        "slots": [b - a for a, b in zip(tx, tx[1:]) if warmup < b <= n],
         "energy_block_fraction": energy_blocks / (n - warmup),
         "tx": tx,
+        "final_buffer": sum(energy) - threshold * len(tx),
     }
 
 
@@ -272,6 +277,8 @@ def test_power_split_matches_reference(rho, seed):
     assert rep.harvest_slot_hist == _as_hist(ref["slots"])
     assert rep.per_replication[0].final_buffer_joules == pytest.approx(
         ref["final_buffer"], rel=1e-9)
+    assert rep.per_replication[0].dl_packets == len(ref["dl_services"])
+    assert rep.per_replication[0].ul_packets == len(ref["ul_services"])
 
 
 # 0.033 loads the queue to p(1 + theta) = 0.92: packets wait behind one another
@@ -285,8 +292,15 @@ def test_time_split_matches_reference(p, seed):
     assert rep.mean_dl_aoi == ref["mean_dl_aoi"]
     assert rep.mean_ul_aoi == ref["mean_ul_aoi"]
     assert rep.dl_rate == ref["dl_rate"]
+    assert rep.ul_rate == ref["ul_rate"]
     assert rep.dl_service_hist == _as_hist(ref["dl_services"])
+    assert rep.ul_service_hist == _as_hist(ref["ul_services"])
+    assert rep.harvest_slot_hist == _as_hist(ref["slots"])
     assert rep.energy_block_fraction == pytest.approx(ref["energy_block_fraction"], abs=0)
+    assert rep.per_replication[0].final_buffer_joules == pytest.approx(
+        ref["final_buffer"], rel=1e-9)
+    assert rep.per_replication[0].dl_packets == len(ref["dl_services"])
+    assert rep.per_replication[0].ul_packets == len(ref["ul_services"])
 
 
 def test_time_split_first_packet_unfinished_at_horizon_matches_reference():
@@ -320,20 +334,29 @@ def test_walk_matches_searchsorted_reference(nats, packet_nats):
 @settings(max_examples=200, deadline=None)
 @given(nats=st.lists(_NATS, max_size=200),
        packet_nats=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 12.0)),
-       cuts=st.lists(st.integers(0, 200), max_size=8))
-def test_walk_fed_in_pieces_matches_one_walk(nats, packet_nats, cuts):
+       cuts=st.lists(st.integers(0, 200), max_size=8),
+       steps=st.lists(st.integers(1, 4), min_size=200, max_size=200))
+def test_walk_fed_in_pieces_matches_one_walk(nats, packet_nats, cuts, steps):
     nats = np.asarray(nats, dtype=np.float64)
-    walk = simulator._Walk(packet_nats)
-    got, services = [], []
-    for piece in np.split(nats, sorted(min(c, len(nats)) for c in cuts)):
-        slots, served = walk.completions(piece)
-        got += slots.tolist()
+    # a strictly increasing block for each slot, as transmit blocks number uplink slots
+    block_map = np.cumsum(np.asarray(steps[: len(nats)], dtype=np.int64))
+    walk, mapped = simulator._Walk(packet_nats), simulator._Walk(packet_nats)
+    got, services, got_mapped, services_mapped = [], [], [], []
+    at = sorted(min(c, len(nats)) for c in cuts)
+    for piece, piece_blocks in zip(np.split(nats, at), np.split(block_map, at)):
+        blocks, served = walk.completions(piece)
+        got += blocks.tolist()
         services += served.tolist()
+        blocks, served = mapped.completions(piece, piece_blocks)
+        got_mapped += blocks.tolist()
+        services_mapped += served.tolist()
     cum = np.cumsum(nats)
     whole = _walk_packets(cum, packet_nats)
-    assert got == whole.tolist()
+    assert [b - 1 for b in got] == whole.tolist()
     assert services == np.diff(whole, prepend=-1).tolist()
-    assert walk.fed == len(nats)
+    assert got_mapped == block_map[whole].tolist()
+    assert services_mapped == np.diff(block_map[whole], prepend=0).tolist()
+    assert walk.fed == mapped.fed == len(nats)
     assert walk.total == (float(cum[-1]) if len(cum) else 0.0)   # one sequential sum
 
 
@@ -506,15 +529,17 @@ def test_config_validation():
 
 
 def test_energy_causality_violation_is_numerical_failure():
-    # a cumulative path that falls back below a crossing it already made
+    # harvests whose cumulative path falls back below a crossing it already made
+    harvest = np.diff([0.3, 3.9, 2.6, 3.8, 1.4, 3.0], prepend=0.0)
     with pytest.raises(ArithmeticError, match="energy causality"):
-        _transmit_schedule(np.array([0.3, 3.9, 2.6, 3.8, 1.4, 3.0]), 1.0, simulator._Schedule(6))
+        _transmit_schedule(harvest, 1.0, simulator._Schedule(6))
 
 
 def test_schedule_clips_counts_to_the_horizon():
     # 5e300 multiples per block, past the int64 range: the reference loops
     # cannot enumerate them, and only the horizon's 4 blocks can send
-    tx, gaps = _transmit_schedule(np.array([0.0, 5.0, 10.0, 10.0]), 1e-300, simulator._Schedule(4))
+    tx, gaps, _ = _transmit_schedule(np.array([0.0, 5.0, 5.0, 0.0]), 1e-300,
+                                     simulator._Schedule(4))
     assert tx.tolist() == [3, 4]
     assert gaps.tolist() == [1]
 
@@ -540,8 +565,7 @@ def test_schedule_matches_reference_loops(harvest, threshold, short, cuts):
     state = simulator._Schedule(horizon)
     got_tx, got_gaps = [], []
     for piece in np.split(np.asarray(harvest), sorted({c for c in cuts if c < n})):
-        energy_cum = np.cumsum(np.concatenate(([state.energy], piece)))[1:]
-        tx, gaps = _transmit_schedule(energy_cum, threshold, state)
+        tx, gaps, _ = _transmit_schedule(piece, threshold, state)
         got_tx += tx.tolist()
         got_gaps += gaps.tolist()
     assert [t for t in got_tx if t <= horizon] == _tx_schedule(_crossings(harvest, threshold),
