@@ -2,8 +2,9 @@
 
 The determinism tests elsewhere compare a run with itself, so they cannot
 notice a refactor that changes a printed digit; these tests compare each
-run with bytes recorded in ``tests/golden/``. The cases cover boundary
-rows of ``optimize``, a coarse-tolerance ``optimize`` started near an
+run with bytes recorded in ``tests/golden/``. The cases cover a small
+``analytic`` table at the reference point and a 101 x 4 one away from it,
+boundary rows of ``optimize``, a coarse-tolerance ``optimize`` started near an
 edge, a 1001-weight ``optimize`` grid, a 101-weight ``optimize`` grid away
 from the reference point, both schemes, the exact SNR mode, several
 replications, a time-split walk that ends on the unfinished-packet
@@ -35,6 +36,11 @@ GOLDEN = Path(__file__).parent / "golden"
 CLI_CASES = {
     "analytic": ["analytic", "--rho-grid", "0,0.05,0.3,0.5,0.8,1",
                  "--w-grid", "0,0.25,1", "--harvest-eff", "0.3"],
+    # a 101 x 4 table away from the reference point: the rho edges print inf
+    # cells, and the w edges take weighted_sum's skip rule
+    "analytic_params": ["analytic", "--rho-grid", ",".join(str(i / 100) for i in range(101)),
+                        "--w-grid", "0,0.3,0.7,1", "--harvest-eff", "0.2",
+                        "--distance", "2.5", "--packet-nats", "10"],
     "optimize": ["optimize", "--w-grid", ",".join(str(i / 10) for i in range(11))],
     # a fine grid pins the printed digits of rho_star across the whole weight range
     "optimize_fine": ["optimize", "--w-grid", ",".join(str(i / 1000) for i in range(1001))],
