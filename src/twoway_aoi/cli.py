@@ -170,18 +170,21 @@ def _spec_header(spec: RunSpec) -> list[str]:
         f"# {key} = {_text(values[key])}" for key in _KEYS if values[key] is not None]
 
 
-def _emit(spec: RunSpec, columns: list[str], rows: list[list]) -> None:
-    # one % template per combination of cell types: '%.12g' % x prints a float
-    # as format(x, '.12g') does, inf and nan included; any other cell prints
-    # as str() prints it ("" for an empty cell)
+def _cell(value) -> str:
+    """A CSV cell: '%.12g' for a float, numpy's float64 included (inf and nan
+    print as format() prints them); str() for any other value, "" included."""
+    return "%.12g" % value if isinstance(value, float) else str(value)
+
+
+def _line(row) -> str:
+    return ",".join(map(_cell, row))
+
+
+def _emit(spec: RunSpec, columns: list[str], body) -> None:
+    """Write the spec header, the column line and the body's text lines."""
     lines = _spec_header(spec)
     lines.append(",".join(columns))
-    templates = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds)
-        lines.append(templates[kinds] % tuple(row))
+    lines.extend(body)
     text = "\n".join(lines) + "\n"
     if spec.output is None:
         sys.stdout.write(text)
@@ -206,12 +209,15 @@ def cmd_analytic(spec: RunSpec) -> int:
     dl, ul_renewal = forms.ages(rho)
     ul_literal = avg_uplink_aoi(forms.loads(rho)[1], spec.params.harvest_eff, "literal")
     dl_rate, ul_rate = forms.rates(rho)
-    weighted = [weighted_sum(w, dl, ul_renewal).tolist() for w in spec.w_grid]
-    per_rho = zip(spec.rho_grid, dl.tolist(), ul_renewal.tolist(), ul_literal.tolist(),
-                  dl_rate.tolist(), ul_rate.tolist(), zip(*weighted))
-    rows = [[r, w, d, u, lit, ws, dr, ur]
-            for r, d, u, lit, dr, ur, by_w in per_rho for w, ws in zip(spec.w_grid, by_w)]
-    _emit(spec, columns, rows)
+    # each value is formatted once: a rho's six w-independent cells once for
+    # all its weights, each w once for all rho, each weighted age once
+    w_cells = [_cell(w) for w in spec.w_grid]
+    weighted = [map(_cell, weighted_sum(w, dl, ul_renewal).tolist()) for w in spec.w_grid]
+    ages = map(_line, zip(dl.tolist(), ul_renewal.tolist(), ul_literal.tolist()))
+    rates = map(_line, zip(dl_rate.tolist(), ul_rate.tolist()))
+    per_rho = zip(map(_cell, spec.rho_grid), ages, rates, zip(*weighted))
+    _emit(spec, columns, [f"{r},{w},{age},{ws},{rate}"
+                          for r, age, rate, by_w in per_rho for w, ws in zip(w_cells, by_w)])
     return 0
 
 
@@ -220,7 +226,7 @@ def cmd_optimize(spec: RunSpec) -> int:
     columns = ["w", "rho_star", "aoi_star", "method", "iterations"]
     rows = [[pt.w, pt.result.rho_star, pt.result.aoi_star, pt.result.method,
              pt.result.iterations] for pt in points]
-    _emit(spec, columns, rows)
+    _emit(spec, columns, map(_line, rows))
     failed = [pt.w for pt in points if not pt.result.converged]
     if failed:
         print(f"optimization failed to converge at w = {failed}", file=sys.stderr)
@@ -277,7 +283,7 @@ def cmd_simulate(spec: RunSpec) -> int:
         report = run_time_splitting(spec.params, sim.gen_prob, sim)
     else:
         report = run_power_splitting(spec.params, spec.params.split_ratio, sim)
-    _emit(spec, _SIM_COLUMNS, _sim_rows(spec, report))
+    _emit(spec, _SIM_COLUMNS, map(_line, _sim_rows(spec, report)))
     _warn_censored(report, sim.scheme)
     return 0
 
@@ -301,7 +307,7 @@ def cmd_compare(spec: RunSpec) -> int:
         _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
         rows.append([p, rho_ts, weighted_sum(w, ps.dl_rate, ps.ul_rate),
                      weighted_sum(w, ts.dl_rate, ts.ul_rate), ps.weighted_aoi, ts.weighted_aoi])
-    _emit(spec, columns, rows)
+    _emit(spec, columns, map(_line, rows))
     return 0
 
 

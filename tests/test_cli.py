@@ -1,16 +1,20 @@
 """Command-line surface: merging, CSV format, reproducibility, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twoway_aoi import cli
+from twoway_aoi.analytic import ClosedForms, avg_uplink_aoi, weighted_sum
 from twoway_aoi.cli import main
 
 
@@ -468,8 +472,57 @@ def test_unwritable_output_is_io_error(capsys):
 
 @given(x=st.floats(allow_nan=True, allow_infinity=True))
 def test_percent_template_prints_floats_as_format_does(x):
-    # _emit formats float cells with '%.12g'; the CSV has always held format(x, '.12g')
+    # cli._cell formats float cells with '%.12g'; the CSV has always held format(x, '.12g')
     assert "%.12g" % x == format(x, ".12g")
+
+
+def _template_line(row):
+    """The row rule the CLI used before its one cell rule: one % template per
+    combination of cell types, '%.12g' for a float subclass and '%s' for any
+    other cell."""
+    kinds = tuple(map(type, row))
+    return ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds) % tuple(row)
+
+
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                        -0.0, 5e-324, 1.8e308]))
+_CELLS = st.one_of(_ANY_FLOAT, _ANY_FLOAT.map(np.float64), st.integers(),
+                   st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
+                   st.text(), st.sampled_from(["", "aggregate", "newton", "1:2|3:4"]))
+
+
+@given(row=st.lists(_CELLS, min_size=1, max_size=14))
+def test_cell_rule_matches_the_per_row_template(row):
+    assert cli._line(row) == _template_line(row)
+
+
+def _edge_or_unit(values=st.floats(0.0, 1.0)):
+    return st.one_of(st.sampled_from([0.0, 1.0]), values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.lists(_edge_or_unit(), min_size=1, max_size=12),
+       w=st.lists(_edge_or_unit(), min_size=1, max_size=5),
+       eta=st.floats(1e-3, 1.0))
+def test_analytic_lines_match_one_row_per_point(rho, w, eta):
+    argv = ["analytic", "--rho-grid", ",".join(map(repr, rho)),
+            "--w-grid", ",".join(map(repr, w)), "--harvest-eff", repr(eta)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    body = [ln for ln in out.getvalue().splitlines() if not ln.startswith("#")][1:]
+    # the reference formats a whole row per (rho, w) point, rho-major
+    params = cli.merge_spec(cli.build_parser().parse_args(argv)).params
+    forms = ClosedForms(params)
+    grid = np.array(rho)
+    dl, ul = forms.ages(grid)
+    literal = avg_uplink_aoi(forms.loads(grid)[1], eta, "literal")
+    dl_rate, ul_rate = forms.rates(grid)
+    weighted = [weighted_sum(x, dl, ul) for x in w]
+    expected = [cli._line([r, x, dl[i], ul[i], literal[i], weighted[k][i], dl_rate[i], ul_rate[i]])
+                for i, r in enumerate(rho) for k, x in enumerate(w)]
+    assert body == expected
 
 
 def test_twelve_significant_digits(capsys):
