@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from twoway_aoi import cli
 from twoway_aoi.analytic import ClosedForms, avg_uplink_aoi, weighted_sum
 from twoway_aoi.cli import main
+from twoway_aoi.model import SystemParams
 
 
 def run_cli(argv, capsys):
@@ -497,13 +498,11 @@ def test_cell_rule_matches_the_per_row_template(row):
     assert cli._line(row) == _template_line(row)
 
 
-def _edge_or_unit(values=st.floats(0.0, 1.0)):
-    return st.one_of(st.sampled_from([0.0, 1.0]), values)
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=40, deadline=None)
-@given(rho=st.lists(_edge_or_unit(), min_size=1, max_size=12),
-       w=st.lists(_edge_or_unit(), min_size=1, max_size=5),
+@given(rho=st.lists(_UNIT, min_size=1, max_size=12), w=st.lists(_UNIT, min_size=1, max_size=5),
        eta=st.floats(1e-3, 1.0))
 def test_analytic_lines_match_one_row_per_point(rho, w, eta):
     argv = ["analytic", "--rho-grid", ",".join(map(repr, rho)),
@@ -513,8 +512,7 @@ def test_analytic_lines_match_one_row_per_point(rho, w, eta):
         assert main(argv) == 0
     body = [ln for ln in out.getvalue().splitlines() if not ln.startswith("#")][1:]
     # the reference formats a whole row per (rho, w) point, rho-major
-    params = cli.merge_spec(cli.build_parser().parse_args(argv)).params
-    forms = ClosedForms(params)
+    forms = ClosedForms(SystemParams(harvest_eff=eta))
     grid = np.array(rho)
     dl, ul = forms.ages(grid)
     literal = avg_uplink_aoi(forms.loads(grid)[1], eta, "literal")
