@@ -24,7 +24,7 @@ from . import __version__
 from .analytic import ClosedForms, avg_uplink_aoi, ts_equivalent_rho, weighted_sum
 from .model import SystemParams
 from .optimizer import OptOptions, sweep_w
-from .simulator import SimConfig, run_power_splitting, run_time_splitting
+from .simulator import SimConfig, run_power_splitting, run_time_splitting, started
 
 # bench/tracing.py wraps these names in this module's namespace; the commands
 # evaluate through ClosedForms, so the names are bound for the tracer only
@@ -298,15 +298,21 @@ def cmd_compare(spec: RunSpec) -> int:
     for p, rho_ts in split:
         if not 0.0 < rho_ts < 1.0:
             raise ValueError(f"p = {p!r} gives rho_ts = {rho_ts!r}, outside (0, 1)")
+    # each run as its runner passes it on, so the pool's jobs are the ones it asks for
+    ts_sim = {p: replace(spec.sim, scheme="time_split", gen_prob=p) for p in spec.p_grid}
+    ps_sim = replace(spec.sim, scheme="power_split", gen_prob=None)
+    runs = [run for p, rho_ts in split
+            for run in ((spec.params, rho_ts, ts_sim[p]), (spec.params, rho_ts, ps_sim))]
     rows = []
-    for p, rho_ts in split:
-        ts = run_time_splitting(spec.params, p, replace(spec.sim, scheme="time_split", gen_prob=p))
-        ps = run_power_splitting(spec.params, rho_ts,
-                                 replace(spec.sim, scheme="power_split", gen_prob=None))
-        _warn_censored(ts, f"time_split at p = {p!r}")
-        _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
-        rows.append([p, rho_ts, weighted_sum(w, ps.dl_rate, ps.ul_rate),
-                     weighted_sum(w, ts.dl_rate, ts.ul_rate), ps.weighted_aoi, ts.weighted_aoi])
+    with started(runs):
+        for p, rho_ts in split:
+            ts = run_time_splitting(spec.params, p, ts_sim[p])
+            ps = run_power_splitting(spec.params, rho_ts, ps_sim)
+            _warn_censored(ts, f"time_split at p = {p!r}")
+            _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
+            rows.append([p, rho_ts, weighted_sum(w, ps.dl_rate, ps.ul_rate),
+                         weighted_sum(w, ts.dl_rate, ts.ul_rate), ps.weighted_aoi,
+                         ts.weighted_aoi])
     _emit(spec, columns, map(_line, rows))
     return 0
 

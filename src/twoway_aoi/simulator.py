@@ -31,8 +31,10 @@ transmissions (see ``_transmit_schedule``).
 
 Replications are seeded independently from (seed, replication, stream
 tag) and aggregated in index order, so a report is a pure function of its
-SimConfig. Several replications run in parallel worker processes, one per
-CPU in the process's affinity mask; the report is the same byte for byte.
+SimConfig. Replications run in one pool of worker processes, one per CPU
+in the process's affinity mask: a run's own, or in a :func:`started` block
+those of every run the block names (``compare`` names all its runs), each
+run collecting its own. The report is the same byte for byte.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ import math
 import os
 from bisect import bisect_left
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -642,25 +643,52 @@ def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig)
 
 def _run(params: SystemParams, rho: float, config: SimConfig) -> SimReport:
     """Aggregate the replications; ``rho`` fixes the device power (see :func:`_replication`)."""
-    outputs = _map_ordered(partial(_replication, params, rho, config), range(config.replications))
+    jobs = [(params, rho, config, rep) for rep in range(config.replications)]
+    with started([(params, rho, config)]):
+        # a job no open pool holds is computed here
+        outputs = [_pending[job].pop().result() if _pending.get(job) else _replication(*job)
+                   for job in jobs]
     return _aggregate(params, config, outputs)
 
 
-def _map_ordered(fn, reps) -> list:
-    """``[fn(rep) for rep in reps]``, over one worker process per available CPU."""
-    workers = min(len(reps), len(os.sched_getaffinity(0)))
-    if workers > 1:
-        # imported here: a one-replication run should not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # a daemon process (a multiprocessing.Pool worker) may not start children
-        if not multiprocessing.current_process().daemon:
-            # fork, not spawn: workers inherit the imported modules instead of
-            # importing numpy again, and the engine itself starts no threads
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(fn, reps))
-    return [fn(rep) for rep in reps]
+# replication job -> its futures not yet collected, while a started() block
+# holds a pool; identical jobs give identical outputs, so any of them serves
+_pending: dict = {}
+
+
+@contextmanager
+def started(runs):
+    """Submit every replication of ``runs``, (params, rho, config) triples as
+    the runners pass them to :func:`_run`, to one pool of forked workers.
+
+    A run inside the block collects its replications from the pool. No pool
+    starts for a lone job, on one CPU, in a daemon process (a
+    multiprocessing.Pool worker may not start children) or inside an open
+    block. On exit the pool cancels what no run collected.
+    """
+    jobs = [(params, rho, config, rep)
+            for params, rho, config in runs for rep in range(config.replications)]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers < 2 or _pending:
+        yield
+        return
+    # imported here: a command that needs no pool should not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    if multiprocessing.current_process().daemon:
+        yield
+        return
+    # fork, not spawn: workers inherit the imported modules instead of
+    # importing numpy again; the pool forks every worker before it starts
+    # its own thread, and the engine starts none
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        for job in jobs:
+            _pending.setdefault(job, []).append(pool.submit(_replication, *job))
+        yield
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _pending.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ def test_earlier_exports_still_resolve():
         assert hasattr(twoway_aoi, name)
 
 
+def test_pool_block_is_not_exported():
+    # the command line is the one caller of simulator.started
+    assert "started" not in twoway_aoi.__all__
+    assert not hasattr(twoway_aoi, "started")
+
+
 def test_benchmark_trace_boundaries_resolve():
     # bench/run.py --trace 1 wraps these names in the calling module's namespace
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"

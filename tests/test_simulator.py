@@ -11,6 +11,7 @@ import math
 import multiprocessing
 import os
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -490,6 +491,84 @@ def test_daemon_process_runs_replications_in_process(monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as outer:
         nested = outer.apply_async(_power_split_reference_point, (cfg,)).get(timeout=60)
     assert nested == run_power_splitting(REF, 0.5, cfg)
+
+
+_COMPARE = ["compare", "--num-blocks", "1000", "--p-grid", "0.005,0.02", "--seed", "4"]
+_POOLED_COMMANDS = {
+    "compare": _COMPARE,
+    "compare-3-replications": _COMPARE + ["--replications", "3"],
+    "simulate-3-replications": ["simulate", "--num-blocks", "1000", "--seed", "4",
+                                "--replications", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", _POOLED_COMMANDS.values(), ids=_POOLED_COMMANDS)
+def test_pool_changes_no_output_byte(monkeypatch, pools, capsys, argv):
+    # stdout and the censoring warnings on stderr, inline (one CPU) and pooled
+    captured = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        assert main(argv) == 0
+        captured.append(capsys.readouterr())
+    assert pools == [2]
+    assert "warning: " in captured[0].err
+    assert captured[1] == captured[0]
+
+
+@pytest.mark.parametrize("replications", [1, 3])
+def test_compare_collects_every_replication_from_the_pool(monkeypatch, replications):
+    # a job key that differs from the runner's by one bit (a recomputed rho,
+    # say) would run in the parent, and only a slower benchmark would show it
+    parent, inline, submitted, uncollected, fork_threads = os.getpid(), [], [], [], []
+    schedule, fork = simulator._transmit_schedule, os.fork
+
+    def recording_schedule(*args):
+        if os.getpid() == parent:
+            inline.append(args)
+        return schedule(*args)
+
+    def recording_fork():
+        fork_threads.append(threading.active_count())
+        return fork()
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
+
+        def shutdown(self, *args, **kwargs):
+            uncollected.append(sum(map(len, simulator._pending.values())))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_transmit_schedule", recording_schedule)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    _cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    assert main(_COMPARE + ["--replications", str(replications)]) == 0
+    assert len(submitted) == 2 * 2 * replications
+    assert inline == []
+    assert uncollected == [0]
+    assert not simulator._pending
+    # every worker forks before the pool starts its own thread
+    assert fork_threads == [threads] * 2
+
+
+def test_compare_worker_failure_exits_2_and_leaves_no_process(monkeypatch, pools, capsys):
+    parent = os.getpid()
+
+    def broken(*args):
+        raise ArithmeticError("in a worker" if os.getpid() != parent else "in the parent")
+
+    monkeypatch.setattr(simulator, "_transmit_schedule", broken)   # inherited by fork
+    _cpus(monkeypatch, 2)
+    argv = ["compare", "--num-blocks", "2000", "--p-grid", "0.005,0.01,0.02",
+            "--replications", "2"]
+    assert main(argv) == 2
+    assert pools == [2]
+    assert capsys.readouterr().err == "numerical failure: in a worker\n"
+    assert multiprocessing.active_children() == []
+    assert not simulator._pending
 
 
 def test_config_validation():
