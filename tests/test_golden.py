@@ -8,9 +8,11 @@ boundary rows of ``optimize``, a coarse-tolerance ``optimize`` started near an
 edge, a 1001-weight ``optimize`` grid, a 101-weight ``optimize`` grid away
 from the reference point, both schemes, the exact SNR mode, several
 replications, a time-split walk that ends on the unfinished-packet
-sentinel, and per-epoch trace dumps of both schemes.
-Every case runs twice: at the default chunk size, which holds each recorded
-horizon in one chunk, and at 97 blocks, which crosses many chunk boundaries.
+sentinel, per-epoch trace dumps of both schemes, and runs of both schemes
+over two full default-size chunks and a short tail.
+Every case runs twice: at the default chunk size, which holds every other
+recorded horizon in one chunk, and at 97 blocks, which crosses many chunk
+boundaries.
 
 After an intended change of output, re-record the cases it touches with
 
@@ -57,6 +59,13 @@ CLI_CASES = {
     "simulate_exact": ["simulate", "--snr-mode", "exact", "--split-ratio", "0.3",
                        "--num-blocks", "30000", "--seed", "4"],
     "compare": ["compare", "--p-grid", "0.005,0.02", "--num-blocks", "20000", "--seed", "5"],
+    # two full default-size chunks and a short tail, so the per-chunk work reuses
+    # what one chunk leaves behind
+    "simulate_power_split_chunks": ["simulate", "--scheme", "power_split",
+                                    "--num-blocks", "140000", "--seed", "6",
+                                    "--replications", "2"],
+    "simulate_time_split_chunks": ["simulate", "--scheme", "time_split", "--gen-prob", "0.01",
+                                   "--num-blocks", "140000", "--seed", "7"],
 }
 
 # short packets, so that both directions deliver within 300 blocks
