@@ -149,33 +149,47 @@ def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
     return DerivedLoads(theta=theta, dl_load=dl_load, ul_load=ul_load)
 
 
-def _per_block_nats(params: SystemParams, power: float, gain, mode: str):
+def _gains(gain, out):
+    """``gain`` as a checked float array, and the array its result goes to.
+
+    ``out``, when given, takes the result in place; it may be ``gain`` itself.
+    """
+    gain = np.asarray(gain, dtype=float)
+    if np.any(gain < 0):
+        raise ValueError("gain must be >= 0")
+    return gain, np.empty_like(gain) if out is None else out
+
+
+def _per_block_nats(params: SystemParams, power: float, gain, mode: str, out=None):
     """Nats one block carries at transmit ``power`` over a link of power gain ``gain``.
 
     ``exact`` evaluates the log capacity expression; ``linear`` is its
     low-SNR first-order form (always an upper bound). Accepts scalars or
-    numpy arrays of gains.
+    numpy arrays of gains; ``out`` is as in :func:`_gains`.
     """
     if mode not in SNR_MODES:
         raise ValueError(f"mode must be one of {SNR_MODES}, got {mode!r}")
-    gain = np.asarray(gain, dtype=float)
-    if np.any(gain < 0):
-        raise ValueError("gain must be >= 0")
+    gain, out = _gains(gain, out)
     scale = power / (params._d_alpha * params.noise_density)
     if mode == "linear":
-        out = params.block_len * scale * gain
+        np.multiply(params.block_len * scale, gain, out=out)
     else:
-        out = params.block_len * params.bandwidth * np.log1p(
-            scale * gain / params.bandwidth)
+        # block_len * bandwidth * log1p(scale * gain / bandwidth), one step at a time
+        np.multiply(scale, gain, out=out)
+        np.divide(out, params.bandwidth, out=out)
+        np.log1p(out, out=out)
+        np.multiply(params.block_len * params.bandwidth, out, out=out)
     return out if out.ndim else float(out)
 
 
-def per_block_downlink_nats(params: SystemParams, rho: float, gain, mode: str = "linear"):
+def per_block_downlink_nats(params: SystemParams, rho: float, gain, mode: str = "linear",
+                            out=None):
     """Nats deliverable over the downlink in one block with power gain ``gain``."""
-    return _per_block_nats(params, (1.0 - rho) * params.total_power, gain, mode)
+    return _per_block_nats(params, (1.0 - rho) * params.total_power, gain, mode, out)
 
 
-def per_block_uplink_nats(params: SystemParams, rho: float, gain, mode: str = "linear"):
+def per_block_uplink_nats(params: SystemParams, rho: float, gain, mode: str = "linear",
+                          out=None):
     """Nats deliverable over the uplink in one transmit block.
 
     The device transmit power equals the mean received power of the energy
@@ -183,16 +197,17 @@ def per_block_uplink_nats(params: SystemParams, rho: float, gain, mode: str = "l
     path loss once more on the way back.
     """
     p_u = rho * params.total_power / (params.channel_rate * params._d_alpha)
-    return _per_block_nats(params, p_u, gain, mode)
+    return _per_block_nats(params, p_u, gain, mode, out)
 
 
-def harvested_energy(params: SystemParams, rho: float, gain):
-    """Joules banked by the device in one block with power gain ``gain``."""
-    gain = np.asarray(gain, dtype=float)
-    if np.any(gain < 0):
-        raise ValueError("gain must be >= 0")
-    out = (params.harvest_eff * rho * params.total_power * params.block_len
-           * gain / params._d_alpha)
+def harvested_energy(params: SystemParams, rho: float, gain, out=None):
+    """Joules banked by the device in one block with power gain ``gain``.
+
+    ``out`` is as in :func:`_gains`.
+    """
+    gain, out = _gains(gain, out)
+    np.multiply(params.harvest_eff * rho * params.total_power * params.block_len, gain, out=out)
+    np.divide(out, params._d_alpha, out=out)
     return out if out.ndim else float(out)
 
 

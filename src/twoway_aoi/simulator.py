@@ -85,13 +85,20 @@ def make_stream(seed: int, replication: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def sample_gain(stream: np.random.Generator, lam: float, size=None):
-    """Draw Rayleigh power gains gamma = -ln(U)/lam, U uniform in (0, 1]."""
+def sample_gain(stream: np.random.Generator, lam: float, size=None, out=None):
+    """Draw Rayleigh power gains gamma = -ln(U)/lam, U uniform in (0, 1].
+
+    ``out``, a float64 array, takes the draws in place of a new array.
+    """
     if lam <= 0:
         raise ValueError(f"lam must be > 0, got {lam!r}")
-    u = stream.random(size)
-    gamma = -np.log1p(-u) / lam   # 1 - random() lies in (0, 1]
-    return gamma if size is not None else float(gamma)
+    u = np.asarray(stream.random(size, out=out))
+    # -log1p(-u) / lam in place, one step at a time; 1 - random() lies in (0, 1]
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    np.divide(u, lam, out=u)
+    return u if size is not None or out is not None else float(u)
 
 
 @dataclass(frozen=True)
@@ -213,13 +220,16 @@ class _Walk:
         self.fed = 0        # slots fed so far
         self.last = 0       # block of the latest completion; the first packet is generated at 0
 
-    def completions(self, nats, blocks=None):
-        """Walk the next slots' nats: (completion blocks, services in blocks).
+    def completions(self, path, blocks=None):
+        """Walk the next slots' nats, ``path[1:]``: (completion blocks, services in blocks).
 
-        ``blocks`` numbers this call's slots; by default stream slot i is block i + 1.
+        The walk writes its carried sum into ``path[0]`` and cumsums ``path``
+        in place. ``blocks`` numbers this call's slots; by default stream slot
+        i is block i + 1.
         """
         # cumsum over [carry, chunk] rounds like one long cumsum; carry + cumsum(chunk) does not
-        cum = np.cumsum(np.concatenate(([self.total], nats)))[1:]
+        path[0] = self.total
+        cum = np.cumsum(path, out=path)[1:]
         done = _walk_packets(cum, self.packet_nats, anchor=self.anchor)
         at = done + (self.fed + 1) if blocks is None else blocks[done]
         services = np.diff(at, prepend=self.last)
@@ -319,9 +329,10 @@ def _check_deliveries(deliveries):
 
 
 class _Schedule:
-    """What the transmit schedule carries from one chunk of blocks to the next."""
+    """What the transmit schedule carries from one chunk of blocks to the next,
+    and its work arrays for chunks of up to ``size`` blocks."""
 
-    def __init__(self, horizon: int):
+    def __init__(self, horizon: int, size: int):
         self.horizon = horizon   # the run's last block
         self.offset = 0          # blocks fed so far
         self.energy = 0.0        # cumulative harvest through block ``offset``
@@ -332,6 +343,9 @@ class _Schedule:
         # per chunk; the oldest one's run starts at block offset + 1. Block 0 counts none
         # and takes block 1, the virtual transmission.
         self.backlog = deque([np.zeros(1, dtype=np.int8)])
+        self.multiples = np.empty(size + 1)   # slot 0 for ``banked``, then one per block
+        self.product = np.empty(size)
+        self.flags = np.empty(size, dtype=bool)
 
 
 def _narrow(counts: np.ndarray) -> np.ndarray:
@@ -339,7 +353,7 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
     return counts.astype(np.min_scalar_type(min(int(counts.min()), -1 - int(counts.max()))))
 
 
-def _transmit_schedule(harvest: np.ndarray, threshold: float, state: _Schedule):
+def _transmit_schedule(path: np.ndarray, threshold: float, state: _Schedule):
     """Transmit blocks and harvest-slot gaps from the energy harvested per block.
 
     Crossing block m_k is the block in which the k-th multiple of the
@@ -349,25 +363,33 @@ def _transmit_schedule(harvest: np.ndarray, threshold: float, state: _Schedule):
     becomes c transmit blocks in a row, or one idle block if c = 0.
     Returns (tx_blocks 1-based, gaps aligned with tx_blocks[1:], cumulative harvest).
 
-    The harvests are fed chunk by chunk with the same ``state``: ``harvest``
-    covers the blocks after ``state.offset``, and the call returns the
+    The harvests are fed chunk by chunk with the same ``state``: ``path[1:]``
+    holds those of the blocks after ``state.offset``, and the call returns the
     transmissions in those blocks, with the gaps of those that have a
-    predecessor.
+    predecessor. The cumulative harvest replaces ``path`` in place, led by the
+    carried sum in ``path[0]``.
     """
+    c = len(path) - 1
     lo = state.offset
-    hi = lo + len(harvest)
-    # cumsum over [carry, chunk] rounds like one long cumsum; path[0] is the carried sum
-    path = np.cumsum(np.concatenate(([state.energy], harvest)))
-    energy_cum = path[1:]
+    hi = lo + c
+    # cumsum over [carry, chunk] rounds like one long cumsum
+    path[0] = state.energy
+    energy_cum = np.cumsum(path, out=path)[1:]
     state.offset, state.energy = hi, float(path[-1])
-    # multiples banked through each block, corrected by the products the crossings compare
-    q = energy_cum / threshold
+    # multiples banked through each block, corrected by the products the crossings
+    # compare; each step writes into the state's work arrays
+    multiples, product, flags = state.multiples[:c + 1], state.product[:c], state.flags[:c]
+    multiples[0] = state.banked
+    q = multiples[1:]
+    np.divide(energy_cum, threshold, out=q)
     np.floor(q, out=q)
-    q += threshold * (q + 1) <= energy_cum
-    q -= threshold * q > energy_cum
+    np.multiply(threshold, np.add(q, 1, out=product), out=product)
+    q += np.less_equal(product, energy_cum, out=flags)
+    np.multiply(threshold, q, out=product)
+    q -= np.greater(product, energy_cum, out=flags)
     # no block sends more than the horizon has blocks. Not clipped below: a block where
     # the path falls counts < 0 and still sends once, so the causality check fires.
-    banks = np.diff(q, prepend=state.banked)
+    banks = np.subtract(q, multiples[:-1], out=product)
     state.backlog.append(_narrow(np.minimum(banks, state.horizon, out=banks)))
     state.banked = float(q[-1])
     # ends: the last block of each run. Every block takes at least one block, so
@@ -378,7 +400,8 @@ def _transmit_schedule(harvest: np.ndarray, threshold: float, state: _Schedule):
         ends.append(ends[-1][-1] + np.cumsum(np.maximum(counts[-1], 1, dtype=np.int64)))
     counts, ends = np.concatenate(counts), np.concatenate(ends[1:])
     k = int(np.searchsorted(ends, hi, side="right"))
-    keep = np.ones(hi - lo, dtype=bool)     # all but the idle blocks
+    keep = flags        # all but the idle blocks
+    keep.fill(True)
     keep[ends[np.flatnonzero(counts[:k] == 0)] - (lo + 1)] = False
     tx = np.flatnonzero(keep) + (lo + 1)
     # the first run past hi keeps the count of its blocks after hi
@@ -452,17 +475,22 @@ class _Deliveries:
             self.last = (int(resets[-1]), int(values[-1]))
 
 
-def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
-    """Per chunk: zero-wait downlink deliveries; no block is a data block."""
+def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int, path):
+    """Per chunk: zero-wait downlink deliveries; no block is a data block.
+
+    Each chunk's nats fill ``path`` in place (see :meth:`_Walk.completions`).
+    """
     dl_stream = make_stream(cfg.seed, rep, "dl_gain")
     walk = _Walk(params.packet_nats)
     for lo, hi in _chunks(cfg.num_blocks):
-        gain = sample_gain(dl_stream, params.channel_rate, hi - lo)
-        done, services = walk.completions(per_block_downlink_nats(params, rho, gain, cfg.snr_mode))
-        yield lo, hi, (done, services, services), np.zeros(hi - lo, dtype=bool)
+        nats = path[1:hi - lo + 1]
+        gain = sample_gain(dl_stream, params.channel_rate, out=nats)
+        per_block_downlink_nats(params, rho, gain, cfg.snr_mode, out=nats)
+        done, services = walk.completions(path[:hi - lo + 1])
+        yield lo, hi, (done, services, services), None
 
 
-def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int):
+def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int, path):
     """Per chunk: FCFS downlink deliveries at ``cfg.gen_prob`` and the data blocks.
 
     The access point serves queued packets in arrival order at full power,
@@ -472,7 +500,8 @@ def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int):
     packet that completes by the end of a chunk has a known service. A
     packet's service depends only on the gains of the data blocks, not on
     its arrival, so the walk may finish services of packets that have not
-    arrived yet.
+    arrived yet. The arrival draws and the nats fill ``path`` in place, one
+    after the other (see :meth:`_Walk.completions`).
     """
     gen = make_stream(cfg.seed, rep, "packet_gen")
     dl_stream = make_stream(cfg.seed, rep, "dl_gain")
@@ -482,10 +511,13 @@ def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int):
     free = 0            # completion block of the latest delivered packet
     used = 0            # data blocks served so far
     for lo, hi in _chunks(cfg.num_blocks):
-        u = gen.random(hi - lo)
+        c = hi - lo
+        u = gen.random(out=path[1:c + 1])
         arrivals = np.concatenate((arrivals, np.flatnonzero(u < cfg.gen_prob) + (lo + 1)))
-        gain = sample_gain(dl_stream, params.channel_rate, max(used + hi - lo - walk.fed, 0))
-        _, new = walk.completions(per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode))
+        nats = path[1:max(used + c - walk.fed, 0) + 1]
+        gain = sample_gain(dl_stream, params.channel_rate, out=nats)
+        per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode, out=nats)
+        _, new = walk.completions(path[:len(nats) + 1])
         services = np.concatenate((services, new))
         m = min(len(arrivals), len(services))
         done = _fcfs(arrivals[:m], services[:m], free)
@@ -495,9 +527,9 @@ def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int):
         # frees block d + 1, index d - lo. Every completion here exceeds lo: one
         # by lo was delivered in its chunk, and a packet without a known service
         # cannot complete within this chunk, so it counts as busy through hi.
-        c = hi - lo
-        busy = np.cumsum(np.bincount(np.maximum(arrivals - lo - 1, 0), minlength=c)
-                         - np.bincount(done[done < hi] - lo, minlength=c)) > 0
+        queued = np.bincount(np.maximum(arrivals - lo - 1, 0), minlength=c)
+        queued -= np.bincount(done[done < hi] - lo, minlength=c)
+        busy = np.cumsum(queued, out=queued) > 0
         used += int(busy.sum())
         k = int(np.searchsorted(done, hi, side="right"))
         dl = (done[:k], done[:k] - (arrivals[:k] - 1), services[:k])
@@ -521,23 +553,30 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
 
     The downlink of ``cfg.scheme`` yields, per chunk of blocks lo+1..hi,
     ``(lo, hi, dl, busy)``: (delivery blocks, system times, service times)
-    and the mask of time-split data blocks. The device harvests at power
-    fraction ``rho`` (power split) or 1 (time split), and nothing in a data
-    block; ``rho`` also fixes its transmit power and so the energy threshold.
-    Returns the summary and the window's counts of downlink services, uplink
-    services and harvest slots by length. Replication 0 writes any trace asked for.
+    and the mask of time-split data blocks (None under power split, which has
+    none). The device harvests at power fraction ``rho`` (power split) or 1
+    (time split), and nothing in a data block; ``rho`` also fixes its transmit
+    power and so the energy threshold. Returns the summary and the window's
+    counts of downlink services, uplink services and harvest slots by length.
+    Replication 0 writes any trace asked for.
+
+    Every per-block stage of a chunk writes into arrays allocated here once
+    per replication: ``nats`` holds a walk's per-slot nats (downlink, then
+    uplink) and ``energy`` the harvests, each behind a slot for its carried sum.
     """
     n = cfg.num_blocks
     warmup = cfg.resolved_warmup()
     lam = params.channel_rate
+    size = min(n, _CHUNK_BLOCKS)
+    nats, energy = np.empty(size + 1), np.empty(size + 1)
     if cfg.scheme == "power_split":
-        downlink, power = _ps_downlink(params, rho, cfg, rep), rho
+        downlink, power = _ps_downlink(params, rho, cfg, rep, nats), rho
     else:
-        downlink, power = _ts_downlink(params, cfg, rep), 1.0
+        downlink, power = _ts_downlink(params, cfg, rep, nats), 1.0
     threshold = uplink_energy_threshold(params, rho)
     hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     ul_stream = make_stream(cfg.seed, rep, "ul_gain")
-    schedule = _Schedule(n)
+    schedule = _Schedule(n, size)
     walk = _Walk(params.packet_nats)        # over transmit blocks
     dl, ul = _Deliveries(warmup), _Deliveries(warmup)
     slot_counts = np.zeros(0, dtype=np.int64)
@@ -547,12 +586,15 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
         if trace is not None:
             trace.write(_TRACE_HEADER)
         for lo, hi, dl_chunk, busy in downlink:
-            harvest = harvested_energy(params, power, sample_gain(hv_stream, lam, hi - lo))
-            harvest[busy] = 0.0
-            tx, gaps, energy_cum = _transmit_schedule(harvest, threshold, schedule)
-            gain = sample_gain(ul_stream, lam, len(tx))
-            ul_blocks, ul_services = walk.completions(
-                per_block_uplink_nats(params, rho, gain, cfg.snr_mode), tx)
+            harvest = energy[1:hi - lo + 1]
+            harvested_energy(params, power, sample_gain(hv_stream, lam, out=harvest), out=harvest)
+            if busy is not None:
+                harvest[busy] = 0.0
+            tx, gaps, energy_cum = _transmit_schedule(energy[:hi - lo + 1], threshold, schedule)
+            ul_nats = nats[1:len(tx) + 1]
+            gain = sample_gain(ul_stream, lam, out=ul_nats)
+            per_block_uplink_nats(params, rho, gain, cfg.snr_mode, out=ul_nats)
+            ul_blocks, ul_services = walk.completions(nats[:len(tx) + 1], tx)
             if trace is not None:   # before the tallies move past this chunk
                 _write_trace(trace, _trace_frame(lo, hi, (dl, dl_chunk[:2]),
                                                  (ul, (ul_blocks, ul_services)), tx, energy_cum,
@@ -561,7 +603,8 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
             ul.add(ul_blocks, ul_services, ul_services, lo, hi)
             gap_tx = tx[len(tx) - len(gaps):]
             slot_counts = _count(slot_counts, gaps[gap_tx > warmup])
-            energy_blocks += int((~busy[max(warmup - lo, 0):]).sum())
+            window = max(hi - max(warmup, lo), 0)     # the chunk's blocks past the warmup
+            energy_blocks += window - (0 if busy is None else int(busy[hi - lo - window:].sum()))
 
     span = n - warmup
     dl_packets, ul_packets = int(dl.counts.sum()), int(ul.counts.sum())
@@ -705,12 +748,13 @@ def _trace_frame(lo, hi, dl, ul, tx, energy_cum, sent, threshold, busy):
     transmissions before the chunk's ``tx``.
     """
     epochs = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    energy = np.ones(hi - lo, dtype=bool) if busy is None else ~busy
     ages, delivered = [], []
     for tally, (blocks, system) in (dl, ul):
         ages.append(_age_path(blocks + 1, system + 1, hi, lo, tally.last))
         delivered.append(np.isin(epochs, np.append(blocks + 1, tally.last[0])))
     buffer = energy_cum - (sent + np.searchsorted(tx, epochs, side="right")) * threshold
-    return epochs, *ages, buffer, *delivered, np.isin(epochs, tx), ~busy
+    return epochs, *ages, buffer, *delivered, np.isin(epochs, tx), energy
 
 
 def _write_trace(fh, frame):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoway_aoi.analytic import harvest_slot_moments
 from twoway_aoi.model import (
@@ -162,3 +164,50 @@ def test_negative_gain_rejected():
         per_block_downlink_nats(REF, 0.5, -1.0)
     with pytest.raises(ValueError):
         harvested_energy(REF, 0.5, -0.1)
+
+
+# the formulas as written before they took ``out``: the in-place steps must
+# run the same float operations in the same order
+def _nats_formula(params, power, gain, mode):
+    scale = power / (params._d_alpha * params.noise_density)
+    if mode == "linear":
+        return params.block_len * scale * gain
+    return params.block_len * params.bandwidth * np.log1p(scale * gain / params.bandwidth)
+
+
+def _harvest_formula(params, rho, gain):
+    return (params.harvest_eff * rho * params.total_power * params.block_len
+            * gain / params._d_alpha)
+
+
+# the smallest subnormal and a gain far past any Rayleigh draw
+_GAIN = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gains=st.lists(_GAIN, min_size=1, max_size=30), rho=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["linear", "exact"]))
+@example(gains=[5e-324, 1e300, 0.0], rho=0.5, mode="linear")
+@example(gains=[5e-324, 1e300, 0.0], rho=0.5, mode="exact")
+def test_in_place_results_match_the_allocating_call(gains, rho, mode):
+    gain = np.asarray(gains)
+    p_u = rho * REF.total_power / (REF.channel_rate * REF._d_alpha)
+    cases = [
+        (lambda g, **kw: per_block_downlink_nats(REF, rho, g, mode, **kw),
+         _nats_formula(REF, (1.0 - rho) * REF.total_power, gain, mode)),
+        (lambda g, **kw: per_block_uplink_nats(REF, rho, g, mode, **kw),
+         _nats_formula(REF, p_u, gain, mode)),
+        (lambda g, **kw: harvested_energy(REF, rho, g, **kw), _harvest_formula(REF, rho, gain)),
+    ]
+    for fn, formula in cases:
+        want = fn(gain)
+        buf = gain.copy()
+        got = fn(buf, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes() == formula.tobytes()
+        assert np.float64(fn(float(gain[0]))).tobytes() == want[:1].tobytes()
+        # a negative gain is rejected before anything is written
+        buf = np.append(gain, -1.0)
+        with pytest.raises(ValueError, match="gain must be >= 0"):
+            fn(buf, out=buf)
+        assert buf[:-1].tobytes() == gain.tobytes()

@@ -259,6 +259,28 @@ def test_sample_gain_statistics():
     assert g.min() > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(lam=st.one_of(st.sampled_from([5e-324, 1e300]), st.floats(1e-300, 1e300)),
+       size=st.integers(0, 50), seed=st.integers(0, 2**16))
+@example(lam=5e-324, size=50, seed=1)
+@example(lam=1e300, size=50, seed=1)
+def test_sample_gain_in_place_matches_allocating_call(lam, size, seed):
+    buf = np.full(size + 1, np.nan)
+    with np.errstate(over="ignore"):    # -log1p(-u) / 5e-324 overflows for most draws
+        want = sample_gain(make_stream(seed, 0, "dl_gain"), lam, size)
+        got = sample_gain(make_stream(seed, 0, "dl_gain"), lam, out=buf[1:])
+        lone = sample_gain(make_stream(seed, 0, "dl_gain"), lam)
+        # the draw as written before it took ``out``
+        formula = -np.log1p(-make_stream(seed, 0, "dl_gain").random(size)) / lam
+    assert got.base is buf and np.isnan(buf[0])
+    assert got.tobytes() == want.tobytes() == formula.tobytes()
+    if size:
+        assert np.float64(lone).tobytes() == want[:1].tobytes()
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        sample_gain(make_stream(seed, 0, "dl_gain"), -lam, out=buf[1:])
+    assert buf[1:].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # engine vs reference (exact agreement)
 
@@ -345,10 +367,11 @@ def test_walk_fed_in_pieces_matches_one_walk(nats, packet_nats, cuts, steps):
     got, services, got_mapped, services_mapped = [], [], [], []
     at = sorted(min(c, len(nats)) for c in cuts)
     for piece, piece_blocks in zip(np.split(nats, at), np.split(block_map, at)):
-        blocks, served = walk.completions(piece)
+        # each walk cumsums its own copy in place, behind a slot for its carry
+        blocks, served = walk.completions(np.append(np.nan, piece))
         got += blocks.tolist()
         services += served.tolist()
-        blocks, served = mapped.completions(piece, piece_blocks)
+        blocks, served = mapped.completions(np.append(np.nan, piece), piece_blocks)
         got_mapped += blocks.tolist()
         services_mapped += served.tolist()
     cum = np.cumsum(nats)
@@ -611,14 +634,14 @@ def test_energy_causality_violation_is_numerical_failure():
     # harvests whose cumulative path falls back below a crossing it already made
     harvest = np.diff([0.3, 3.9, 2.6, 3.8, 1.4, 3.0], prepend=0.0)
     with pytest.raises(ArithmeticError, match="energy causality"):
-        _transmit_schedule(harvest, 1.0, simulator._Schedule(6))
+        _transmit_schedule(np.append(np.nan, harvest), 1.0, simulator._Schedule(6, 6))
 
 
 def test_schedule_clips_counts_to_the_horizon():
     # 5e300 multiples per block, past the int64 range: the reference loops
     # cannot enumerate them, and only the horizon's 4 blocks can send
-    tx, gaps, _ = _transmit_schedule(np.array([0.0, 5.0, 5.0, 0.0]), 1e-300,
-                                     simulator._Schedule(4))
+    tx, gaps, _ = _transmit_schedule(np.array([np.nan, 0.0, 5.0, 5.0, 0.0]), 1e-300,
+                                     simulator._Schedule(4, 4))
     assert tx.tolist() == [3, 4]
     assert gaps.tolist() == [1]
 
@@ -641,10 +664,10 @@ def test_schedule_matches_reference_loops(harvest, threshold, short, cuts):
     # that banks more multiples than the horizon has blocks
     n = len(harvest)
     horizon = max(1, n - short)
-    state = simulator._Schedule(horizon)
+    state = simulator._Schedule(horizon, n)
     got_tx, got_gaps = [], []
     for piece in np.split(np.asarray(harvest), sorted({c for c in cuts if c < n})):
-        tx, gaps, _ = _transmit_schedule(piece, threshold, state)
+        tx, gaps, _ = _transmit_schedule(np.append(np.nan, piece), threshold, state)
         got_tx += tx.tolist()
         got_gaps += gaps.tolist()
     assert [t for t in got_tx if t <= horizon] == _tx_schedule(_crossings(harvest, threshold),
@@ -940,10 +963,10 @@ def test_time_split_draws_downlink_gains_only_for_served_blocks(monkeypatch):
             dl_streams.append(gen)
         return gen
 
-    def gain(gen, lam, size=None):
+    def gain(gen, lam, size=None, out=None):
         if any(gen is s for s in dl_streams):
-            draws.append(size)
-        return sample_gain(gen, lam, size)
+            draws.append(size if out is None else len(out))
+        return sample_gain(gen, lam, size, out)
 
     monkeypatch.setattr(simulator, "make_stream", stream)
     monkeypatch.setattr(simulator, "sample_gain", gain)
