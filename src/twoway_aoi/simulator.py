@@ -346,6 +346,8 @@ class _Schedule:
         self.multiples = np.empty(size + 1)   # slot 0 for ``banked``, then one per block
         self.product = np.empty(size)
         self.flags = np.empty(size, dtype=bool)
+        self.ends = np.empty(size + 1, dtype=np.int64)
+        self.sends = np.empty(size + 1, dtype=bool)
 
 
 def _narrow(counts: np.ndarray) -> np.ndarray:
@@ -392,31 +394,44 @@ def _transmit_schedule(path: np.ndarray, threshold: float, state: _Schedule):
     banks = np.subtract(q, multiples[:-1], out=product)
     state.backlog.append(_narrow(np.minimum(banks, state.horizon, out=banks)))
     state.banked = float(q[-1])
-    # ends: the last block of each run. Every block takes at least one block, so
-    # block hi's run ends past hi and the loop ends before the backlog does.
-    counts, ends = [], [np.array([lo])]
-    while ends[-1][-1] <= hi:
+    # Every block takes at least one block, so the runs of the backlog's first
+    # c + 1 blocks, which end with block hi's, cover lo+1..hi; the rest waits
+    counts, need = [], c + 1
+    while need:
         counts.append(state.backlog.popleft())
-        ends.append(ends[-1][-1] + np.cumsum(np.maximum(counts[-1], 1, dtype=np.int64)))
-    counts, ends = np.concatenate(counts), np.concatenate(ends[1:])
-    k = int(np.searchsorted(ends, hi, side="right"))
-    keep = flags        # all but the idle blocks
+        if len(counts[-1]) > need:
+            state.backlog.appendleft(counts[-1][need:])
+            counts[-1] = counts[-1][:need]
+        need -= len(counts[-1])
+    counts = np.concatenate(counts)
+    # ends: the index of each run's last block, block lo + 1 + index
+    ends = state.ends[:c + 1]
+    np.maximum(counts, 1, out=ends)
+    ends[0] -= 1
+    np.cumsum(ends, out=ends)
+    k = int(np.searchsorted(ends, c - 1, side="right"))
+    keep = flags        # all but the idle blocks, the runs of the blocks that bank none
     keep.fill(True)
-    keep[ends[np.flatnonzero(counts[:k] == 0)] - (lo + 1)] = False
-    tx = np.flatnonzero(keep) + (lo + 1)
+    keep[ends[:k]] = np.not_equal(counts[:k], 0, out=state.sends[:k])
     # the first run past hi keeps the count of its blocks after hi
     rest = _narrow(counts[k:])
-    rest[0] = min(rest[0], ends[k] - hi)
+    rest[0] = min(rest[0], ends[k] - (c - 1))
     state.backlog.appendleft(rest)
+    tx = np.flatnonzero(keep)
     m = len(tx)
-    gaps = np.diff(tx, prepend=state.last_tx)
+    # the banked energy must cover every scheduled transmission: the buffer at
+    # the start of block lo + 1 + i holds the harvests through block lo + i
+    avail = path[tx]
+    spent = np.arange(state.sent + 1, state.sent + m + 1, dtype=float)
+    spent *= threshold
+    avail -= spent
+    if not np.all(avail >= -1e-9 * threshold):
+        raise ArithmeticError("uplink transmit schedule violates energy causality")
+    tx += lo + 1
+    gaps = np.empty(m, dtype=np.int64)
+    gaps[:1] = tx[:1] - state.last_tx
+    np.subtract(tx[1:], tx[:-1], out=gaps[1:])
     if m:
-        # the banked energy must cover every scheduled transmission
-        spent = threshold * np.arange(state.sent + 1, state.sent + m + 1)
-        # buffer at block start, harvests through tx-1
-        avail = path[tx - 1 - lo]
-        if not np.all(avail - spent >= -1e-9 * threshold):
-            raise ArithmeticError("uplink transmit schedule violates energy causality")
         state.last_tx = int(tx[-1])
     if state.sent == 0:
         gaps = gaps[1:]      # the first transmission has no predecessor
@@ -601,8 +616,8 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
                                                  schedule.sent - len(tx), threshold, busy))
             dl.add(*dl_chunk, lo, hi)
             ul.add(ul_blocks, ul_services, ul_services, lo, hi)
-            gap_tx = tx[len(tx) - len(gaps):]
-            slot_counts = _count(slot_counts, gaps[gap_tx > warmup])
+            gap_tx = tx[len(tx) - len(gaps):]      # sorted: those past the warmup come last
+            slot_counts = _count(slot_counts, gaps[np.searchsorted(gap_tx, warmup, "right"):])
             window = max(hi - max(warmup, lo), 0)     # the chunk's blocks past the warmup
             energy_blocks += window - (0 if busy is None else int(busy[hi - lo - window:].sum()))
 
