@@ -166,8 +166,8 @@ def test_negative_gain_rejected():
         harvested_energy(REF, 0.5, -0.1)
 
 
-# the formulas as written before they took ``out``: the in-place steps must
-# run the same float operations in the same order
+# each formula as one expression: the in-place steps must run the same float
+# operations in the same order
 def _nats_formula(params, power, gain, mode):
     scale = power / (params._d_alpha * params.noise_density)
     if mode == "linear":

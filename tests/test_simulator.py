@@ -270,7 +270,7 @@ def test_sample_gain_in_place_matches_allocating_call(lam, size, seed):
         want = sample_gain(make_stream(seed, 0, "dl_gain"), lam, size)
         got = sample_gain(make_stream(seed, 0, "dl_gain"), lam, out=buf[1:])
         lone = sample_gain(make_stream(seed, 0, "dl_gain"), lam)
-        # the draw as written before it took ``out``
+        # the draw as one expression
         formula = -np.log1p(-make_stream(seed, 0, "dl_gain").random(size)) / lam
     assert got.base is buf and np.isnan(buf[0])
     assert got.tobytes() == want.tobytes() == formula.tobytes()
