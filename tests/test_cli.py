@@ -391,6 +391,55 @@ def test_malformed_config_value(tmp_path, capsys):
     assert "expected 'key = value'" in err
 
 
+# Each boundary input through every command that reads it: the exit codes of
+# (analytic, optimize, simulate, compare), None where a command does not read it.
+# Every command builds SystemParams, SimConfig and OptOptions, so every command
+# checks their fields; only the commands that use a value check it further.
+_READERS = ("analytic", "optimize", "simulate", "compare")
+_TIME_SPLIT = ("--scheme", "time_split", "--gen-prob")
+_EXIT_CODES = {
+    **{("--weight-uplink", w): (1, 1, 1, 1) for w in ("-0.1", "1.5", "nan")},
+    **{("--w-grid", w): (1, 1, None, None) for w in ("-0.1", "1.5", "nan")},
+    # a stored split on an edge is a valid parameter; only a power-split run uses it
+    ("--split-ratio", "0"): (0, 0, 1, 0),
+    ("--split-ratio", "1"): (0, 0, 1, 0),
+    **{("--split-ratio", rho): (1, 1, 1, 1) for rho in ("-0.1", "nan")},
+    # analytic prints inf ages on an edge
+    ("--rho-grid", "0"): (0, None, None, None),
+    ("--rho-grid", "1"): (0, None, None, None),
+    **{("--rho-grid", rho): (1, None, None, None) for rho in ("-0.1", "nan")},
+    **{("--rho-init", rho): (1, 1, 1, 1) for rho in ("0", "1", "-0.1", "nan")},
+    # SimConfig knows no theta, so a gen_prob short of 1 passes where no run uses
+    # it; compare runs its p grid instead. rho_ts = 1 - 28p at the reference point:
+    # 6.66e-16 at p = 0.0357142857142857, and 1.0 at p = 1e-300
+    (*_TIME_SPLIT, "0"): (1, 1, 1, 1),
+    (*_TIME_SPLIT, "1e-300"): (0, 0, 0, 0),
+    (*_TIME_SPLIT, "0.0357142857142857"): (0, 0, 0, 0),
+    (*_TIME_SPLIT, "0.5"): (0, 0, 1, 0),
+    ("--p-grid", "0"): (None, None, None, 1),
+    # a time-split run can go at rho_ts = 1 (simulate above), but compare's
+    # power-split arm at rho = rho_ts cannot: it would leave the downlink no power
+    ("--p-grid", "1e-300"): (None, None, None, 1),
+    ("--p-grid", "0.0357142857142857"): (None, None, None, 0),
+    ("--p-grid", "0.5"): (None, None, None, 1),
+    **{("--harvest-eff", eta): (1, 1, 1, 1) for eta in ("0", "1.5", "nan")},
+}
+
+
+@pytest.mark.parametrize("command,flags,code", [
+    pytest.param(command, flags, code, id=f"{command} {' '.join(flags)}")
+    for flags, codes in _EXIT_CODES.items()
+    for command, code in zip(_READERS, codes) if code is not None])
+def test_boundary_input_exit_codes(capsys, command, flags, code):
+    got, out, err = run_cli([command, *flags, "--num-blocks", "2000"], capsys)
+    assert got == code
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 # gen_prob: power splitting, the default scheme, takes none
 @pytest.mark.parametrize("key,raw", [("num_blocks", "abc"), ("snr_mode", "approx"),
                                      ("scheme", "foo"), ("gen_prob", "0.01"),
