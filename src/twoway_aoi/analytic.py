@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import SystemParams, _all, _unbounded, derive_constants, split_loads
+from .model import SystemParams, _check, _check_weight, _unbounded, derive_constants, split_loads
 
 __all__ = [
     "MomentPair",
@@ -77,26 +77,29 @@ def _shifted_poisson_log_pmf(load: float, j: int) -> float:
     return (j - 1) * math.log(load) - load - math.lgamma(j)
 
 
+def _check_load(dl_load) -> None:
+    _check("dl_load", dl_load, dl_load >= 0, ">= 0")
+
+
 def downlink_service_pmf(dl_load: float, j: int) -> float:
     """Pr{downlink service = j blocks}; shifted Poisson with mean 1 + load.
 
     Evaluated in log space so that large loads (hundreds of blocks) do not
     overflow the factorial.
     """
-    if j < 1 or int(j) != j:
-        raise ValueError(f"j must be a positive integer, got {j!r}")
-    if dl_load < 0:
-        raise ValueError(f"dl_load must be >= 0, got {dl_load!r}")
+    _check("j", j, j >= 1 and int(j) == j, "a positive integer")
+    _check_load(dl_load)
     if dl_load == 0.0:
         return 1.0 if j == 1 else 0.0
+    if dl_load == math.inf:
+        return 0.0
     return math.exp(_shifted_poisson_log_pmf(dl_load, int(j)))
 
 
 @np.errstate(all="ignore")
 def downlink_service_moments(dl_load) -> MomentPair:
     """Moments of the shifted-Poisson block count: (1 + x, x^2 + 3x + 1)."""
-    if not _all(dl_load >= 0):
-        raise ValueError(f"dl_load must be >= 0, got {dl_load!r}")
+    _check_load(dl_load)
     x = dl_load
     return MomentPair(1.0 + x, x * x + 3.0 * x + 1.0)
 
@@ -105,14 +108,17 @@ def downlink_service_moments(dl_load) -> MomentPair:
 def renewal_aoi(moments: MomentPair):
     """Average age of a zero-wait renewal system: m1 + 1/2 + m2/(2 m1)."""
     m1, m2 = moments
-    if not _all(m1 > 0):
-        raise ValueError(f"first moment must be positive, got {m1!r}")
+    _check("first moment", m1, m1 > 0, "positive")
     return _unbounded((abs(m1) == math.inf) | (abs(m2) == math.inf), m1 + 0.5 + m2 / (2.0 * m1))
 
 
 def avg_downlink_aoi(dl_load):
     """Average downlink age in blocks; infinite when the load is unbounded."""
     return renewal_aoi(downlink_service_moments(dl_load))
+
+
+def _check_eta(eta: float) -> None:
+    _check("eta", eta, eta > 0, "> 0")
 
 
 def harvest_slot_pmf(eta: float, j: int) -> float:
@@ -122,17 +128,14 @@ def harvest_slot_pmf(eta: float, j: int) -> float:
     transmit block; the effective per-transmission time is max(1, tau_H).
     Values eta > 1 are accepted for limit checks.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta!r}")
-    if j < 0 or int(j) != j:
-        raise ValueError(f"j must be a nonnegative integer, got {j!r}")
+    _check_eta(eta)
+    _check("j", j, j >= 0 and int(j) == j, "a nonnegative integer")
     return math.exp(_shifted_poisson_log_pmf(1.0 / eta, j + 1))
 
 
 def harvest_slot_moments(eta: float) -> MomentPair:
     """Moments of s = max(1, tau_H): (1/eta + e^(-1/eta), 1/eta^2 + 1/eta + e^(-1/eta))."""
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta!r}")
+    _check_eta(eta)
     mu = 1.0 / eta
     tail = math.exp(-mu)
     m2 = mu * mu + mu + tail
@@ -170,8 +173,7 @@ def avg_uplink_aoi(ul_load, eta: float, form: str = "renewal"):
     second moment is finite (at 1e300-nat packets it overflows: renewal
     inf, literal 1.17e301).
     """
-    if form not in UPLINK_FORMS:
-        raise ValueError(f"form must be one of {UPLINK_FORMS}, got {form!r}")
+    _check("form", form, form in UPLINK_FORMS, f"one of {UPLINK_FORMS}")
     if form == "renewal":
         return renewal_aoi(uplink_service_moments(ul_load, eta))
     count_mean = 1.0 + ul_load
@@ -189,8 +191,7 @@ def weighted_sum(w, downlink, uplink):
     by zero, so a starved side's infinite age does not turn it into nan.
     Works elementwise on numpy arrays.
     """
-    if not _all((0.0 <= w) & (w <= 1.0)):
-        raise ValueError(f"w must be in [0, 1], got {w!r}")
+    _check_weight(w)
     with np.errstate(all="ignore"):
         out = np.where(w == 0.0, downlink,
                        np.where(w == 1.0, uplink, (1.0 - w) * downlink + w * uplink))
@@ -256,11 +257,17 @@ def ts_equivalent_rho(p: float, theta: float) -> float:
     ``p`` is the per-block packet generation probability of the access
     point; it must lie in the stability region [0, 1/(1 + theta)].
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta!r}")
-    limit = 1.0 / (1.0 + theta)
-    if not (0.0 <= p <= limit):
-        raise ValueError(
-            f"gen probability {p!r} outside the stable region: need p <= "
-            f"1/(1+theta) = {limit:.6g} for theta = {theta:.6g}")
-    return 1.0 - p * (1.0 + theta)
+    _check("theta", theta, theta >= 0, ">= 0")
+    return _check_gen_prob(p, theta)
+
+
+def _check_gen_prob(p: float, theta: float = 0.0, interior: bool = False) -> float:
+    # rho_ts for a p in the stable region; a time-split run needs its interior,
+    # where packets arrive and rho_ts > 0, not rounded to 0. theta = 0, the
+    # widest region, is for a check that knows no parameters
+    rho_ts = 1.0 - p * (1.0 + theta)
+    inside = (0.0 < p and rho_ts > 0.0) if interior else (0.0 <= p and rho_ts >= 0.0)
+    op = "<" if interior else "<="
+    _check("gen_prob", p, inside, f"in the stable region 0 {op} p {op} 1/(1+theta) = "
+           f"{1.0 / (1.0 + theta):.6g}, where the downlink queue saturates")
+    return rho_ts

@@ -289,16 +289,11 @@ def cmd_simulate(spec: RunSpec) -> int:
 
 
 def cmd_compare(spec: RunSpec) -> int:
-    theta = spec.params.theta
     w = spec.params.weight_uplink
     columns = ["p", "rho_ts", "R_ps", "R_ts", "aoi_ps", "aoi_ts"]
-    # the whole grid is checked before the first run; a p whose split rounds
-    # to an edge (1e-300 gives rho_ts = 1) is named here, not as that rho
-    split = [(p, ts_equivalent_rho(p, theta)) for p in spec.p_grid]
-    for p, rho_ts in split:
-        if not 0.0 < rho_ts < 1.0:
-            raise ValueError(f"p = {p!r} gives rho_ts = {rho_ts!r}, outside (0, 1)")
-    # each run as its runner passes it on, so the pool's jobs are the ones it asks for
+    split = [(p, ts_equivalent_rho(p, spec.params.theta)) for p in spec.p_grid]
+    # each run as its runner passes it on, so the pool's jobs are the ones it asks
+    # for, and started() checks the whole grid before the first replication
     ts_sim = {p: replace(spec.sim, scheme="time_split", gen_prob=p) for p in spec.p_grid}
     ps_sim = replace(spec.sim, scheme="power_split", gen_prob=None)
     runs = [run for p, rho_ts in split

@@ -60,26 +60,14 @@ class SystemParams:
     weight_uplink: float = 0.5       # w, weight of the uplink age
 
     def __post_init__(self):
-        positive = [
-            ("total_power", self.total_power),
-            ("channel_rate", self.channel_rate),
-            ("distance", self.distance),
-            ("pathloss_exp", self.pathloss_exp),
-            ("bandwidth", self.bandwidth),
-            ("noise_density", self.noise_density),
-            ("block_len", self.block_len),
-        ]
-        for name, value in positive:
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if not (self.packet_nats >= 0.0) or not math.isfinite(self.packet_nats):
-            raise ValueError(f"packet_nats must be >= 0, got {self.packet_nats!r}")
-        if not (0.0 < self.harvest_eff <= 1.0):
-            raise ValueError(f"harvest_eff must be in (0, 1], got {self.harvest_eff!r}")
-        if not (0.0 <= self.split_ratio <= 1.0):
-            raise ValueError(f"split_ratio must be in [0, 1], got {self.split_ratio!r}")
-        if not (0.0 <= self.weight_uplink <= 1.0):
-            raise ValueError(f"weight_uplink must be in [0, 1], got {self.weight_uplink!r}")
+        for name in ("total_power", "channel_rate", "distance", "pathloss_exp", "bandwidth",
+                     "noise_density", "block_len"):
+            value = getattr(self, name)
+            _check(name, value, 0.0 < value < math.inf, "a positive finite number")
+        _check("packet_nats", self.packet_nats, 0.0 <= self.packet_nats < math.inf, "in [0, inf)")
+        _check("harvest_eff", self.harvest_eff, 0.0 < self.harvest_eff <= 1.0, "in (0, 1]")
+        _check_split(self.split_ratio, "split_ratio")
+        _check_weight(self.weight_uplink, "weight_uplink")
 
     @cached_property
     def _d_alpha(self) -> float:
@@ -120,6 +108,32 @@ def _all(flags) -> bool:
     return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
+def _check(name: str, x, inside, rule: str) -> None:
+    """Raise ValueError "<name> must be <rule>" unless ``inside`` holds for ``x``,
+    a float or an array, naming its first value outside. ``inside`` is written so
+    that nan fails it (``x > 0``, not ``not x <= 0``). A quantity that several
+    functions take has its rule stated once, in the check named after it.
+    """
+    if not _all(inside):
+        raise ValueError(f"{name} must be {rule}, got "
+                         f"{np.asarray(x)[~np.asarray(inside)][0].item()!r}")
+
+
+def _check_weight(w, name: str = "w") -> None:
+    _check(name, w, (0.0 <= w) & (w <= 1.0), "in [0, 1]")
+
+
+def _check_split(rho, name: str = "rho", interior: bool = False) -> None:
+    # an edge's unbounded load is inf in a closed form; the solver and a
+    # simulated power split need power in both directions
+    inside = (0.0 < rho) & (rho < 1.0) if interior else (0.0 <= rho) & (rho <= 1.0)
+    _check(name, rho, inside, "in (0, 1)" if interior else "in [0, 1]")
+
+
+def _check_snr_mode(mode: str, name: str = "mode") -> None:
+    _check(name, mode, mode in SNR_MODES, f"one of {SNR_MODES}")
+
+
 def _unbounded(where, value):
     # value, and inf where ``where`` holds: elementwise on an array, a float otherwise
     if isinstance(value, np.ndarray):
@@ -135,9 +149,7 @@ def split_loads(theta: float, y: float, rho):
     theta and y across many ratios. ``rho`` is a float or a numpy array.
     """
     rho = rho if isinstance(rho, np.ndarray) else np.float64(rho)
-    inside = (0.0 <= rho) & (rho <= 1.0)
-    if not _all(inside):
-        raise ValueError(f"rho must be in [0, 1], got {rho[~inside][0].item()!r}")
+    _check_split(rho)
     return _unbounded(rho == 1.0, theta / (1.0 - rho)), _unbounded(rho == 0.0, y / rho)
 
 
@@ -167,8 +179,7 @@ def _per_block_nats(params: SystemParams, power: float, gain, mode: str, out=Non
     low-SNR first-order form (always an upper bound). Accepts scalars or
     numpy arrays of gains; ``out`` is as in :func:`_gains`.
     """
-    if mode not in SNR_MODES:
-        raise ValueError(f"mode must be one of {SNR_MODES}, got {mode!r}")
+    _check_snr_mode(mode)
     gain, out = _gains(gain, out)
     scale = power / (params._d_alpha * params.noise_density)
     if mode == "linear":

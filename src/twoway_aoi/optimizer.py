@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import ClosedForms, weighted_sum
-from .model import SystemParams
+from .model import SystemParams, _check, _check_split, _check_weight
 
 # bench/tracing.py wraps these names in this module's namespace; the solver
 # evaluates through ClosedForms, so the names are bound for the tracer only
@@ -59,14 +59,10 @@ class OptOptions:
     boundary_eps: float = 1e-4
 
     def __post_init__(self):
-        if not (0.0 < self.boundary_eps < 0.5):
-            raise ValueError(f"boundary_eps must be in (0, 0.5), got {self.boundary_eps!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if not (0.0 < self.rho_init < 1.0):
-            raise ValueError(f"rho_init must be in (0, 1), got {self.rho_init!r}")
+        _check("boundary_eps", self.boundary_eps, 0.0 < self.boundary_eps < 0.5, "in (0, 0.5)")
+        _check("tol", self.tol, self.tol > 0, "> 0")
+        _check("max_iters", self.max_iters, self.max_iters >= 1, ">= 1")
+        _check_split(self.rho_init, "rho_init", interior=True)
 
 
 @dataclass(frozen=True)
@@ -85,13 +81,6 @@ class OptResult:
 class SweepPoint:
     w: float
     result: OptResult
-
-
-def _check(rho: float, w: float) -> None:
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must be in (0, 1), got {rho!r}")
-    if not (0.0 <= w <= 1.0):
-        raise ValueError(f"w must be in [0, 1], got {w!r}")
 
 
 def _gradient(forms: ClosedForms, rho, w):
@@ -147,13 +136,15 @@ def aoi_gradient(params: SystemParams, rho: float, w: float) -> float:
     Uplink part:   -w a lambda theta d^alpha [3 / (2 rho^2) + 1 / (2 (rho + lambda theta d^alpha)^2)]
     with a = 1/eta + exp(-1/eta).
     """
-    _check(rho, w)
+    _check_split(rho, interior=True)
+    _check_weight(w)
     return float(_gradient(ClosedForms(params), rho, w))
 
 
 def aoi_second_derivative(params: SystemParams, rho: float, w: float) -> float:
     """Second derivative of the objective; strictly positive on (0, 1)."""
-    _check(rho, w)
+    _check_split(rho, interior=True)
+    _check_weight(w)
     return _curvature(ClosedForms(params), rho, w)
 
 
@@ -171,12 +162,10 @@ def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> lis
     Failures are carried per point in the OptResult rather than raised.
     """
     grid = [float(w) for w in w_grid]
-    for w in grid:
-        if not (0.0 <= w <= 1.0):
-            raise ValueError(f"w must be in [0, 1], got {w!r}")
+    w = np.array(grid)
+    _check_weight(w)
     opts = opts or OptOptions()
     forms = ClosedForms(params)   # every evaluation below reuses its constants
-    w = np.array(grid)
     lo0, hi0 = opts.boundary_eps, 1.0 - opts.boundary_eps
     # the gradient is strictly increasing (convexity): a single sign decides
     # whether the admissible-interval minimum sits at an edge, where a lane

@@ -50,10 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import ts_equivalent_rho, weighted_sum
+from .analytic import _check_gen_prob, ts_equivalent_rho, weighted_sum
 from .model import (
-    SNR_MODES,
     SystemParams,
+    _check,
+    _check_snr_mode,
+    _check_split,
     harvested_energy,
     per_block_downlink_nats,
     per_block_uplink_nats,
@@ -81,8 +83,7 @@ STREAM_TAGS = {"dl_gain": 0, "ul_gain": 1, "harvest_gain": 2, "packet_gen": 3}
 
 def make_stream(seed: int, replication: int, tag: str) -> np.random.Generator:
     """Deterministic generator for one (seed, replication, subsystem) triple."""
-    if tag not in STREAM_TAGS:
-        raise ValueError(f"unknown stream tag {tag!r}, expected one of {sorted(STREAM_TAGS)}")
+    _check("stream tag", tag, tag in STREAM_TAGS, f"one of {sorted(STREAM_TAGS)}")
     entropy = (int(seed), int(replication), STREAM_TAGS[tag])
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
@@ -92,8 +93,7 @@ def sample_gain(stream: np.random.Generator, lam: float, size=None, out=None):
 
     ``out``, a float64 array, takes the draws in place of a new array.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam!r}")
+    _check("lam", lam, lam > 0, "> 0")
     u = np.asarray(stream.random(size, out=out))
     # -log1p(-u) / lam in place, one step at a time; 1 - random() lies in (0, 1]
     np.negative(u, out=u)
@@ -123,26 +123,17 @@ class SimConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications!r}")
-        if self.snr_mode not in SNR_MODES:
-            raise ValueError(f"snr_mode must be one of {SNR_MODES}, got {self.snr_mode!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        _check("num_blocks", self.num_blocks, self.num_blocks >= 1, ">= 1")
+        _check("seed", self.seed, self.seed >= 0, ">= 0")
+        _check("replications", self.replications, self.replications >= 1, ">= 1")
+        _check_snr_mode(self.snr_mode, "snr_mode")
+        _check("scheme", self.scheme, self.scheme in SCHEMES, f"one of {SCHEMES}")
         w = self.resolved_warmup()
-        if not (0 <= w < self.num_blocks):
-            raise ValueError(
-                f"warmup_blocks must satisfy 0 <= warmup < num_blocks, got {w!r}")
-        if self.scheme == "time_split" and self.gen_prob is None:
-            raise ValueError("gen_prob is required when scheme = 'time_split'")
-        if self.scheme == "power_split" and self.gen_prob is not None:
-            raise ValueError("gen_prob is only meaningful when scheme = 'time_split'")
-        if self.gen_prob is not None and not (0.0 < self.gen_prob < 1.0):
-            raise ValueError(f"gen_prob must be in (0, 1), got {self.gen_prob!r}")
+        _check("warmup_blocks", w, 0 <= w < self.num_blocks, "in [0, num_blocks)")
+        if (self.scheme == "time_split") != (self.gen_prob is not None):
+            raise ValueError("gen_prob goes with scheme = 'time_split', and only with it")
+        if self.gen_prob is not None:     # a run checks it against theta
+            _check_gen_prob(self.gen_prob, interior=True)
 
     def resolved_warmup(self) -> int:
         return self.num_blocks // 100 if self.warmup_blocks is None else self.warmup_blocks
@@ -679,25 +670,28 @@ def _aggregate(params, cfg, rep_outputs) -> SimReport:
 
 def run_power_splitting(params: SystemParams, rho: float, config: SimConfig) -> SimReport:
     """Simulate the power-splitting scheme at split ratio ``rho``."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must be in (0, 1) for a simulation run, got {rho!r}")
-    if config.scheme != "power_split":
-        raise ValueError("config.scheme must be 'power_split' for run_power_splitting")
+    _check("config.scheme", config.scheme, config.scheme == "power_split",
+           "'power_split' for run_power_splitting")
     return _run(params, rho, config)
 
 
 def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig) -> SimReport:
     """Simulate the time-splitting baseline at packet generation probability ``gen_prob``."""
-    rho_ts = ts_equivalent_rho(gen_prob, params.theta)    # also validates stability
-    if rho_ts <= 0.0:
-        raise ValueError(
-            f"gen_prob {gen_prob!r} saturates the downlink queue: no energy is "
-            f"ever transferred and the uplink starves")
-    if config.scheme != "time_split":
-        raise ValueError("config.scheme must be 'time_split' for run_time_splitting")
-    if config.gen_prob != gen_prob:
-        raise ValueError(f"gen_prob {gen_prob!r} differs from config.gen_prob {config.gen_prob!r}")
-    return _run(params, rho_ts, config)
+    _check("config.scheme", config.scheme, config.scheme == "time_split",
+           "'time_split' for run_time_splitting")
+    _check("gen_prob", gen_prob, gen_prob == config.gen_prob,
+           f"config.gen_prob = {config.gen_prob!r}")
+    return _run(params, ts_equivalent_rho(gen_prob, params.theta), config)
+
+
+def _check_run(params: SystemParams, rho: float, config: SimConfig) -> None:
+    """Raise ValueError unless ``config``'s scheme can run at split ``rho``. A power
+    split needs power both ways; a time split sends its downlink at full power, so it
+    may run at rho_ts = 1, but needs p inside its stable region."""
+    if config.scheme == "power_split":
+        _check_split(rho, "power-split rho", interior=True)
+    else:
+        _check_gen_prob(config.gen_prob, params.theta, interior=True)
 
 
 def _run(params: SystemParams, rho: float, config: SimConfig) -> SimReport:
@@ -720,11 +714,14 @@ def started(runs):
     """Submit every replication of ``runs``, (params, rho, config) triples as
     the runners pass them to :func:`_run`, to one pool of forked workers.
 
-    A run inside the block collects its replications from the pool. No pool
-    starts for a lone job, on one CPU, in a daemon process (a
-    multiprocessing.Pool worker may not start children) or inside an open
-    block. On exit the pool cancels what no run collected.
+    Each run is checked (:func:`_check_run`) before any replication starts. A
+    run inside the block collects its replications from the pool. No pool starts
+    for a lone job, on one CPU, in a daemon process (a multiprocessing.Pool worker
+    may not start children) or inside an open block. On exit the pool cancels
+    what no run collected.
     """
+    for run in runs:
+        _check_run(*run)
     jobs = [(params, rho, config, rep)
             for params, rho, config in runs for rep in range(config.replications)]
     workers = min(len(jobs), len(os.sched_getaffinity(0)))

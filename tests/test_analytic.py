@@ -51,6 +51,9 @@ def test_pmf_zero_load():
     assert downlink_service_pmf(0.0, 1) == 1.0
     assert downlink_service_pmf(0.0, 2) == 0.0
     assert downlink_service_pmf(0.0, 7) == 0.0
+    # an unbounded load, the downlink's at rho = 1, leaves no mass on any finite j
+    for j in (1, 2, 7, 10**6):
+        assert downlink_service_pmf(math.inf, j) == 0.0
 
 
 def test_pmf_unit_load():
@@ -181,6 +184,19 @@ def test_harvest_slot_large_eta_limit():
 def test_harvest_slot_overflow_names_eta(call):
     # 1/eta squared overflows; the message names eta, not an errno tuple
     with pytest.raises(OverflowError, match="eta 1e-300"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: downlink_service_pmf(math.nan, 1),
+    lambda: downlink_service_pmf(math.nan, 3),
+    lambda: harvest_slot_pmf(math.nan, 0),
+    lambda: harvest_slot_pmf(math.nan, 2),
+    lambda: harvest_slot_moments(math.nan),
+], ids=["dl_pmf_1", "dl_pmf_3", "slot_pmf_0", "slot_pmf_2", "slot_moments"])
+def test_nan_input_is_rejected(call):
+    # nan fails every comparison, so a check written as "x < 0" lets it through
+    with pytest.raises(ValueError, match="got nan"):
         call()
 
 

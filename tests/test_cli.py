@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twoway_aoi import cli
+from twoway_aoi import cli, simulator
 from twoway_aoi.analytic import ClosedForms, avg_uplink_aoi, weighted_sum
 from twoway_aoi.cli import main
 from twoway_aoi.model import SystemParams
@@ -322,17 +322,27 @@ def test_compare_columns_and_determinism(tmp_path):
     assert float(rows[1][1]) == pytest.approx(0.58, rel=1e-12)
 
 
-@pytest.mark.parametrize("grid,named", [("0.01,0.9", "0.9"), ("1e-300", "p = 1e-300")],
-                         ids=["unstable_after_stable", "split_rounds_to_one"])
+# the last p cannot run: it lies outside the stable region, on its edge, where no
+# energy is transferred, or so close to 0 that rho_ts rounds to 1, where the
+# power-split arm would leave the downlink no power
+@pytest.mark.parametrize("grid,named", [
+    ("0.01,0.9", "0.9"),
+    (f"0.01,{1.0 / (1.0 + SystemParams().theta)!r}", "saturates"),
+    ("0.01,1e-300", "power-split rho must be in (0, 1), got 1.0"),
+], ids=["unstable_after_stable", "saturating_after_stable", "split_rounds_to_one"])
 def test_compare_checks_every_p_before_it_simulates(monkeypatch, capsys, grid, named):
-    def simulated(*args):
-        raise AssertionError("a run started before the whole p grid was checked")
-    monkeypatch.setattr(cli, "run_time_splitting", simulated)
-    monkeypatch.setattr(cli, "run_power_splitting", simulated)
+    replicated, replicate = [], simulator._replication
+
+    def counted(*job):
+        replicated.append(job)
+        return replicate(*job)
+    monkeypatch.setattr(simulator, "_replication", counted)
     code, out, err = run_cli(["compare", "--p-grid", grid], capsys)
     assert code == 1
     assert out == ""
     assert named in err
+    assert replicated == []
+    assert not simulator._pending
 
 
 def test_compare_at_the_edge_of_the_stable_region(capsys):
