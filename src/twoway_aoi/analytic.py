@@ -130,7 +130,8 @@ def harvest_slot_pmf(eta: float, j: int) -> float:
     """
     _check_eta(eta)
     _check("j", j, j >= 0 and int(j) == j, "a nonnegative integer")
-    return math.exp(_shifted_poisson_log_pmf(1.0 / eta, j + 1))
+    # tau_H + 1 is shifted Poisson with load 1/eta, whose pmf takes the limits at loads 0 and inf
+    return downlink_service_pmf(1.0 / eta, j + 1)
 
 
 def harvest_slot_moments(eta: float) -> MomentPair:

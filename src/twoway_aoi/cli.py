@@ -156,11 +156,17 @@ def merge_spec(args: argparse.Namespace) -> RunSpec:
 # ---------------------------------------------------------------------------
 # output formatting
 
+_FLOAT = "%.12g"
+# optimize and analytic format a row in one '%', cells as _line prints them; a rho's
+# analytic template takes its six w-independent cells, leaving w's cell and the weighted age
+_OPTIMIZE_ROW = ",".join([_FLOAT] * 3 + ["%s"] * 2)
+_ANALYTIC_ROW = ",".join([_FLOAT, "%%s"] + [_FLOAT] * 3 + ["%" + _FLOAT] + [_FLOAT] * 2)
+
 
 def _text(value) -> str:
     """A config value as the header writes it and the config parser reads it back."""
     if isinstance(value, tuple):
-        return ",".join(repr(v) for v in value)
+        return ",".join(map(repr, value))
     return value if isinstance(value, str) else repr(value)
 
 
@@ -173,7 +179,7 @@ def _spec_header(spec: RunSpec) -> list[str]:
 def _cell(value) -> str:
     """A CSV cell: '%.12g' for a float, numpy's float64 included (inf and nan
     print as format() prints them); str() for any other value, "" included."""
-    return "%.12g" % value if isinstance(value, float) else str(value)
+    return _FLOAT % value if isinstance(value, float) else str(value)
 
 
 def _line(row) -> str:
@@ -212,21 +218,19 @@ def cmd_analytic(spec: RunSpec) -> int:
     # each value is formatted once: a rho's six w-independent cells once for
     # all its weights, each w once for all rho, each weighted age once
     w_cells = [_cell(w) for w in spec.w_grid]
-    weighted = [map(_cell, weighted_sum(w, dl, ul_renewal).tolist()) for w in spec.w_grid]
-    ages = map(_line, zip(dl.tolist(), ul_renewal.tolist(), ul_literal.tolist()))
-    rates = map(_line, zip(dl_rate.tolist(), ul_rate.tolist()))
-    per_rho = zip(map(_cell, spec.rho_grid), ages, rates, zip(*weighted))
-    _emit(spec, columns, [f"{r},{w},{age},{ws},{rate}"
-                          for r, age, rate, by_w in per_rho for w, ws in zip(w_cells, by_w)])
+    weighted = zip(*[weighted_sum(w, dl, ul_renewal).tolist() for w in spec.w_grid])
+    templates = map(_ANALYTIC_ROW.__mod__, zip(spec.rho_grid, dl.tolist(), ul_renewal.tolist(),
+                                            ul_literal.tolist(), dl_rate.tolist(), ul_rate.tolist()))
+    _emit(spec, columns, [row % (w, ws) for row, by_w in zip(templates, weighted)
+                          for w, ws in zip(w_cells, by_w)])
     return 0
 
 
 def cmd_optimize(spec: RunSpec) -> int:
     points = sweep_w(spec.params, sorted(spec.w_grid), spec.opt)
     columns = ["w", "rho_star", "aoi_star", "method", "iterations"]
-    rows = [[pt.w, pt.result.rho_star, pt.result.aoi_star, pt.result.method,
-             pt.result.iterations] for pt in points]
-    _emit(spec, columns, map(_line, rows))
+    _emit(spec, columns, [_OPTIMIZE_ROW % (w, rho, aoi, method, n)
+                          for w, (rho, aoi, n, _, _, method) in points])
     failed = [pt.w for pt in points if not pt.result.converged]
     if failed:
         print(f"optimization failed to converge at w = {failed}", file=sys.stderr)

@@ -167,8 +167,7 @@ def _gains(gain, out):
     ``out``, when given, takes the result in place; it may be ``gain`` itself.
     """
     gain = np.asarray(gain, dtype=float)
-    if np.any(gain < 0):
-        raise ValueError("gain must be >= 0")
+    _check("gain", gain, gain >= 0, ">= 0")
     return gain, np.empty_like(gain) if out is None else out
 
 

@@ -19,7 +19,8 @@ rather than faked as interior roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,20 +66,23 @@ class OptOptions:
         _check_split(self.rho_init, "rho_init", interior=True)
 
 
-@dataclass(frozen=True)
-class OptResult:
-    """Outcome of one minimization: the ratio, its objective, and the path taken."""
+class OptResult(NamedTuple):
+    """Outcome of one minimization: the ratio, its objective, and the path taken.
+    A NamedTuple, so a sweep builds each at a tuple's cost; ``_replace`` copies it."""
 
     rho_star: float
     aoi_star: float
     iterations: int
-    trace: tuple = field(repr=False)   # (rho_n, objective_n, gradient_n) per step
+    trace: tuple                       # (rho_n, objective_n, gradient_n) per step
     converged: bool
     method: str                        # "newton" or "boundary"
 
+    def __repr__(self):   # the trace left out
+        return (f"OptResult(rho_star={self.rho_star!r}, aoi_star={self.aoi_star!r}, iterations="
+                f"{self.iterations!r}, converged={self.converged!r}, method={self.method!r})")
 
-@dataclass(frozen=True)
-class SweepPoint:
+
+class SweepPoint(NamedTuple):
     w: float
     result: OptResult
 

@@ -150,6 +150,8 @@ def test_harvest_slot_pmf_is_poisson():
         harvest_slot_pmf(0.0, 1)
     with pytest.raises(ValueError):
         harvest_slot_pmf(0.5, -1)
+    # a subnormal eta overflows 1/eta: every finite count has vanishing mass
+    assert [harvest_slot_pmf(5e-324, j) for j in (0, 1, 7)] == [0.0, 0.0, 0.0]
 
 
 def test_harvest_slot_moments_value():
@@ -173,6 +175,13 @@ def test_harvest_slot_large_eta_limit():
     m = harvest_slot_moments(1e6)
     assert m.m1 == pytest.approx(1.0, abs=1e-5)
     assert m.m2 == pytest.approx(1.0, abs=1e-5)
+    # at eta = inf nothing is harvested per block and tau_H is Poisson(0):
+    # the pmf is the point mass at 0 whose moments harvest_slot_moments gives
+    pmf = [harvest_slot_pmf(math.inf, j) for j in range(4)]
+    assert pmf == [1.0, 0.0, 0.0, 0.0]
+    limit = harvest_slot_moments(math.inf)
+    assert limit.m1 == sum(max(1, j) * p for j, p in enumerate(pmf)) == 1.0
+    assert limit.m2 == sum(max(1, j) ** 2 * p for j, p in enumerate(pmf)) == 1.0
 
 
 @pytest.mark.parametrize("call", [

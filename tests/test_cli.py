@@ -557,6 +557,25 @@ def test_cell_rule_matches_the_per_row_template(row):
     assert cli._line(row) == _template_line(row)
 
 
+_ROW_FLOAT = st.one_of(_ANY_FLOAT, _ANY_FLOAT.map(np.float64),
+                       st.sampled_from([1e300, -1e300, 2.5e-310]))
+
+
+@given(floats=st.lists(_ROW_FLOAT, min_size=7, max_size=7),
+       w=st.one_of(_ROW_FLOAT, st.integers()),
+       method=st.sampled_from(["newton", "boundary"]),
+       iterations=st.one_of(st.integers(), st.integers(0, 2**63 - 1).map(np.int64)))
+def test_row_templates_match_the_cell_rule(floats, w, method, iterations):
+    # optimize and analytic format each row with one '%' on a template; the
+    # bytes must be the ones _line gives for the same row, cell by cell
+    row = [*floats[:3], method, iterations]   # w, rho_star, aoi_star, method, iterations
+    assert cli._OPTIMIZE_ROW % tuple(row) == cli._line(row)
+    rho, dl, ul, literal, weighted, dl_rate, ul_rate = floats
+    template = cli._ANALYTIC_ROW % (rho, dl, ul, literal, dl_rate, ul_rate)
+    assert (template % (cli._cell(w), weighted)
+            == cli._line([rho, w, dl, ul, literal, weighted, dl_rate, ul_rate]))
+
+
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 

@@ -160,10 +160,12 @@ def test_monotonicity_in_rho_and_gain():
 
 
 def test_negative_gain_rejected():
-    with pytest.raises(ValueError):
-        per_block_downlink_nats(REF, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        harvested_energy(REF, 0.5, -0.1)
+    # nan fails every comparison, so a check written as "gain < 0" let it through
+    for fn in (per_block_downlink_nats, per_block_uplink_nats, harvested_energy):
+        for gain, shown in ((-1.0, "-1.0"), (-0.1, "-0.1"), (math.nan, "nan"),
+                            (np.array([1.0, math.nan, -2.0]), "nan")):
+            with pytest.raises(ValueError, match=f"gain must be >= 0, got {shown}"):
+                fn(REF, 0.5, gain)
 
 
 # each formula as one expression: the in-place steps must run the same float

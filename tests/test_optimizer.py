@@ -348,6 +348,27 @@ def _loop_solve(params, w, opts):
     return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "newton")
 
 
+@pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
+def test_results_are_immutable_hashable_and_equal_by_field(w):
+    opts = OptOptions()
+    point = sweep_w(REF, [w], opts)[0]
+    res = point.result
+    for obj, name in ((res, "rho_star"), (res, "trace"), (point, "w"), (point, "result")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.5)
+    # built positionally, as the scalar reference builds it, the result is equal
+    # and hashes alike, so a point can key a dict
+    again = SweepPoint(w, _loop_solve(REF, w, opts))
+    assert again == point and hash(again) == hash(point)
+    assert {point: "solved"}[again] == "solved"
+    assert res._replace(method="other") != res and res.method in ("newton", "boundary")
+    # the trace, one row per iterate, stays out of the repr
+    assert repr(res) == (f"OptResult(rho_star={res.rho_star!r}, aoi_star={res.aoi_star!r}, "
+                         f"iterations={res.iterations!r}, converged={res.converged!r}, "
+                         f"method={res.method!r})")
+    assert repr(point) == f"SweepPoint(w={w!r}, result={res!r})"
+
+
 @settings(max_examples=150, deadline=None)
 @given(fields=_PARAMS, rho_init=_OPEN_UNIT, tol=st.sampled_from([1e-12, 0.05]),
        max_iters=st.sampled_from([100, 3]),
