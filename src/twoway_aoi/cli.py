@@ -157,10 +157,15 @@ def merge_spec(args: argparse.Namespace) -> RunSpec:
 # output formatting
 
 _FLOAT = "%.12g"
-# optimize and analytic format a row in one '%', cells as _line prints them; a rho's
-# analytic template takes its six w-independent cells, leaving w's cell and the weighted age
+# every CSV row is one '%' on its template, a float cell '%.12g'; a rho's analytic
+# template takes its six w-independent cells, leaving w's cell and the weighted age
 _OPTIMIZE_ROW = ",".join([_FLOAT] * 3 + ["%s"] * 2)
 _ANALYTIC_ROW = ",".join([_FLOAT, "%%s"] + [_FLOAT] * 3 + ["%" + _FLOAT] + [_FLOAT] * 2)
+# simulate's rows, one per replication and then the aggregate, leave empty the cells
+# that are not theirs; compare's rows hold floats only
+_REPLICATION_ROW = ",".join(["%d"] + [_FLOAT] * 5 + ["", "", "%d"] + [_FLOAT] * 2 + [""] * 3)
+_AGGREGATE_ROW = ",".join(["aggregate"] + [_FLOAT] * 7 + ["%d", _FLOAT, ""] + ["%s"] * 3)
+_COMPARE_ROW = ",".join([_FLOAT] * 6)
 
 
 def _text(value) -> str:
@@ -174,16 +179,6 @@ def _spec_header(spec: RunSpec) -> list[str]:
     values = {**vars(spec), **vars(spec.params), **vars(spec.sim), **vars(spec.opt)}
     return [f"## twoway-aoi {__version__}", f"## command: {spec.command}"] + [
         f"# {key} = {_text(values[key])}" for key in _KEYS if values[key] is not None]
-
-
-def _cell(value) -> str:
-    """A CSV cell: '%.12g' for a float, numpy's float64 included (inf and nan
-    print as format() prints them); str() for any other value, "" included."""
-    return _FLOAT % value if isinstance(value, float) else str(value)
-
-
-def _line(row) -> str:
-    return ",".join(map(_cell, row))
 
 
 def _emit(spec: RunSpec, columns: list[str], body) -> None:
@@ -217,7 +212,7 @@ def cmd_analytic(spec: RunSpec) -> int:
     dl_rate, ul_rate = forms.rates(rho)
     # each value is formatted once: a rho's six w-independent cells once for
     # all its weights, each w once for all rho, each weighted age once
-    w_cells = [_cell(w) for w in spec.w_grid]
+    w_cells = [_FLOAT % w for w in spec.w_grid]
     weighted = zip(*[weighted_sum(w, dl, ul_renewal).tolist() for w in spec.w_grid])
     templates = map(_ANALYTIC_ROW.__mod__, zip(spec.rho_grid, dl.tolist(), ul_renewal.tolist(),
                                             ul_literal.tolist(), dl_rate.tolist(), ul_rate.tolist()))
@@ -246,23 +241,21 @@ _SIM_COLUMNS = [
 ]
 
 
-def _sim_rows(spec: RunSpec, report) -> list[list]:
+def _sim_lines(spec: RunSpec, report) -> list[str]:
     w = spec.params.weight_uplink
-    rows = []
-    for i, rep in enumerate(report.per_replication):
-        weighted = weighted_sum(w, rep.mean_dl_aoi, rep.mean_ul_aoi)
-        rows.append([i, rep.mean_dl_aoi, rep.mean_ul_aoi, weighted, rep.dl_rate,
-                     rep.ul_rate, "", "", spec.sim.num_blocks,
-                     rep.energy_block_fraction, rep.final_buffer_joules,
-                     "", "", ""])
-    rows.append(["aggregate", report.mean_dl_aoi, report.mean_ul_aoi,
-                 report.weighted_aoi, report.dl_rate, report.ul_rate,
-                 report.std_error_dl_aoi, report.std_error_ul_aoi,
-                 report.blocks_simulated, report.energy_block_fraction, "",
-                 _hist_cell(report.dl_service_hist),
-                 _hist_cell(report.ul_service_hist),
-                 _hist_cell(report.harvest_slot_hist)])
-    return rows
+    lines = [_REPLICATION_ROW % (i, rep.mean_dl_aoi, rep.mean_ul_aoi,
+                                 weighted_sum(w, rep.mean_dl_aoi, rep.mean_ul_aoi),
+                                 rep.dl_rate, rep.ul_rate, spec.sim.num_blocks,
+                                 rep.energy_block_fraction, rep.final_buffer_joules)
+             for i, rep in enumerate(report.per_replication)]
+    lines.append(_AGGREGATE_ROW % (report.mean_dl_aoi, report.mean_ul_aoi,
+                                   report.weighted_aoi, report.dl_rate, report.ul_rate,
+                                   report.std_error_dl_aoi, report.std_error_ul_aoi,
+                                   report.blocks_simulated, report.energy_block_fraction,
+                                   _hist_cell(report.dl_service_hist),
+                                   _hist_cell(report.ul_service_hist),
+                                   _hist_cell(report.harvest_slot_hist)))
+    return lines
 
 
 def _warn_censored(report, run: str) -> None:
@@ -287,7 +280,7 @@ def cmd_simulate(spec: RunSpec) -> int:
         report = run_time_splitting(spec.params, sim.gen_prob, sim)
     else:
         report = run_power_splitting(spec.params, spec.params.split_ratio, sim)
-    _emit(spec, _SIM_COLUMNS, map(_line, _sim_rows(spec, report)))
+    _emit(spec, _SIM_COLUMNS, _sim_lines(spec, report))
     _warn_censored(report, sim.scheme)
     return 0
 
@@ -302,17 +295,17 @@ def cmd_compare(spec: RunSpec) -> int:
     ps_sim = replace(spec.sim, scheme="power_split", gen_prob=None)
     runs = [run for p, rho_ts in split
             for run in ((spec.params, rho_ts, ts_sim[p]), (spec.params, rho_ts, ps_sim))]
-    rows = []
+    lines = []
     with started(runs):
         for p, rho_ts in split:
             ts = run_time_splitting(spec.params, p, ts_sim[p])
             ps = run_power_splitting(spec.params, rho_ts, ps_sim)
             _warn_censored(ts, f"time_split at p = {p!r}")
             _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
-            rows.append([p, rho_ts, weighted_sum(w, ps.dl_rate, ps.ul_rate),
-                         weighted_sum(w, ts.dl_rate, ts.ul_rate), ps.weighted_aoi,
-                         ts.weighted_aoi])
-    _emit(spec, columns, map(_line, rows))
+            lines.append(_COMPARE_ROW % (p, rho_ts, weighted_sum(w, ps.dl_rate, ps.ul_rate),
+                                         weighted_sum(w, ts.dl_rate, ts.ul_rate),
+                                         ps.weighted_aoi, ts.weighted_aoi))
+    _emit(spec, columns, lines)
     return 0
 
 

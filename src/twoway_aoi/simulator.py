@@ -370,6 +370,8 @@ def _transmit_schedule(path: np.ndarray, threshold: float, state: _Schedule):
     path[0] = state.energy
     energy_cum = np.cumsum(path, out=path)[1:]
     state.offset, state.energy = hi, float(path[-1])
+    if not math.isfinite(state.energy):
+        raise OverflowError(f"the harvested energy overflows by block {hi}")
     # multiples banked through each block, corrected by the products the crossings
     # compare; each step writes into the state's work arrays
     multiples, product, flags = state.multiples[:c + 1], state.product[:c], state.flags[:c]
@@ -581,6 +583,8 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     else:
         downlink, power = _ts_downlink(params, cfg, rep, nats), 1.0
     threshold = uplink_energy_threshold(params, rho)
+    if threshold == 0.0:    # every block would bank infinitely many transmissions
+        raise ArithmeticError(f"the uplink energy threshold underflows to 0 at rho = {rho!r}")
     hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     ul_stream = make_stream(cfg.seed, rep, "ul_gain")
     schedule = _Schedule(n, size)
@@ -589,7 +593,10 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     slot_counts = np.zeros(0, dtype=np.int64)
     energy_blocks = 0
     tracing = cfg.trace_path is not None and rep == 0
-    with open(cfg.trace_path, "w", encoding="utf-8") if tracing else nullcontext() as trace:
+    # as in the closed forms, an overflow gives inf, not a warning; an infinite harvest
+    # stops the run in _transmit_schedule
+    trace_file = open(cfg.trace_path, "w", encoding="utf-8") if tracing else nullcontext()
+    with trace_file as trace, np.errstate(over="ignore"):
         if trace is not None:
             trace.write(_TRACE_HEADER)
         for lo, hi, dl_chunk, busy in downlink:
@@ -603,9 +610,9 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
             per_block_uplink_nats(params, rho, gain, cfg.snr_mode, out=ul_nats)
             ul_blocks, ul_services = walk.completions(nats[:len(tx) + 1], tx)
             if trace is not None:   # before the tallies move past this chunk
-                _write_trace(trace, _trace_frame(lo, hi, (dl, dl_chunk[:2]),
-                                                 (ul, (ul_blocks, ul_services)), tx, energy_cum,
-                                                 schedule.sent - len(tx), threshold, busy))
+                trace.writelines(_trace_lines(lo, hi, (dl, dl_chunk[:2]),
+                                              (ul, (ul_blocks, ul_services)), tx, energy_cum,
+                                              schedule.sent - len(tx), threshold, busy))
             dl.add(*dl_chunk, lo, hi)
             ul.add(ul_blocks, ul_services, ul_services, lo, hi)
             gap_tx = tx[len(tx) - len(gaps):]      # sorted: those past the warmup come last
@@ -751,10 +758,12 @@ def started(runs):
 # trace dump
 
 _TRACE_HEADER = "epoch,dl_aoi,ul_aoi,buffer_joules,dl_delivery,ul_delivery,ul_tx,energy_block\n"
+# the buffer prints as the CLI prints a float, each flag as 0 or 1
+_TRACE_ROW = "%d,%d,%d,%.12g,%d,%d,%d,%d\n"
 
 
-def _trace_frame(lo, hi, dl, ul, tx, energy_cum, sent, threshold, busy):
-    """Trace columns of epochs lo+1..hi, one row per epoch.
+def _trace_lines(lo, hi, dl, ul, tx, energy_cum, sent, threshold, busy) -> list[str]:
+    """Trace rows of epochs lo+1..hi, one line per epoch.
 
     ``dl`` and ``ul`` pair a direction's tally, not yet past this chunk,
     with the chunk's (delivery blocks, system times); ``sent`` counts the
@@ -767,10 +776,5 @@ def _trace_frame(lo, hi, dl, ul, tx, energy_cum, sent, threshold, busy):
         ages.append(_age_path(blocks + 1, system + 1, hi, lo, tally.last))
         delivered.append(np.isin(epochs, np.append(blocks + 1, tally.last[0])))
     buffer = energy_cum - (sent + np.searchsorted(tx, epochs, side="right")) * threshold
-    return epochs, *ages, buffer, *delivered, np.isin(epochs, tx), energy
-
-
-def _write_trace(fh, frame):
-    for epoch, dl_age, ul_age, buffer, dl_flag, ul_flag, tx_flag, energy in zip(*frame):
-        fh.write(f"{epoch},{dl_age},{ul_age},{buffer:.12g},"
-                 f"{int(dl_flag)},{int(ul_flag)},{int(tx_flag)},{int(energy)}\n")
+    columns = (epochs, *ages, buffer, *delivered, np.isin(epochs, tx), energy)
+    return [_TRACE_ROW % row for row in zip(*(column.tolist() for column in columns))]

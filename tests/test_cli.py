@@ -277,6 +277,28 @@ def test_closed_form_overflow_is_numerical_failure(argv):
     assert "RuntimeWarning" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--total-power", "1e308", "--num-blocks", "100000"],   # the cumulative harvest
+    ["simulate", "--channel-rate", "1e-310", "--num-blocks", "1000"],   # each gain draw
+    ["compare", "--channel-rate", "1e-310", "--num-blocks", "1000", "--p-grid", "0.001"],
+    ["simulate", "--split-ratio", "5e-324", "--num-blocks", "1000"],    # the energy threshold
+])
+def test_simulated_energy_overflow_is_numerical_failure(argv):
+    result = _run_cli_process(argv)
+    assert result.returncode == 2
+    assert result.stderr.startswith("numerical failure: ")
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_infinite_nats_deliver_a_packet_per_block_without_a_warning():
+    # 1e-320 Hz of bandwidth makes every block's nats overflow to inf
+    result = _run_cli_process(["simulate", "--bandwidth", "1e-320", "--snr-mode", "exact",
+                               "--num-blocks", "1000"])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1].startswith("aggregate,2,")
+
+
 # a renewal second moment that overflows prints inf; the published literal
 # form has no second moment, so it stays finite
 _OVERFLOWING_ROWS = {
@@ -532,14 +554,14 @@ def test_unwritable_output_is_io_error(capsys):
 
 @given(x=st.floats(allow_nan=True, allow_infinity=True))
 def test_percent_template_prints_floats_as_format_does(x):
-    # cli._cell formats float cells with '%.12g'; the CSV has always held format(x, '.12g')
+    # every row template formats a float cell with '%.12g'; the CSV has always
+    # held format(x, '.12g')
     assert "%.12g" % x == format(x, ".12g")
 
 
 def _template_line(row):
-    """The row rule the CLI used before its one cell rule: one % template per
-    combination of cell types, '%.12g' for a float subclass and '%s' for any
-    other cell."""
+    """The reference row rule: '%.12g' for a float subclass and '%s' for any
+    other cell, the cells joined by commas."""
     kinds = tuple(map(type, row))
     return ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds) % tuple(row)
 
@@ -547,33 +569,43 @@ def _template_line(row):
 _ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                        st.sampled_from([float("nan"), float("inf"), -float("inf"),
                                         -0.0, 5e-324, 1.8e308]))
-_CELLS = st.one_of(_ANY_FLOAT, _ANY_FLOAT.map(np.float64), st.integers(),
-                   st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
-                   st.text(), st.sampled_from(["", "aggregate", "newton", "1:2|3:4"]))
+_FLOATS = st.one_of(_ANY_FLOAT, _ANY_FLOAT.map(np.float64))
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_INTS = st.one_of(st.integers(), _INT64.map(np.int64))
+_TEXTS = st.one_of(st.text(), st.sampled_from(["", "newton", "boundary", "1:2|3:4"]))
 
 
-@given(row=st.lists(_CELLS, min_size=1, max_size=14))
-def test_cell_rule_matches_the_per_row_template(row):
-    assert cli._line(row) == _template_line(row)
-
-
-_ROW_FLOAT = st.one_of(_ANY_FLOAT, _ANY_FLOAT.map(np.float64),
-                       st.sampled_from([1e300, -1e300, 2.5e-310]))
-
-
-@given(floats=st.lists(_ROW_FLOAT, min_size=7, max_size=7),
-       w=st.one_of(_ROW_FLOAT, st.integers()),
-       method=st.sampled_from(["newton", "boundary"]),
-       iterations=st.one_of(st.integers(), st.integers(0, 2**63 - 1).map(np.int64)))
-def test_row_templates_match_the_cell_rule(floats, w, method, iterations):
-    # optimize and analytic format each row with one '%' on a template; the
-    # bytes must be the ones _line gives for the same row, cell by cell
-    row = [*floats[:3], method, iterations]   # w, rho_star, aoi_star, method, iterations
-    assert cli._OPTIMIZE_ROW % tuple(row) == cli._line(row)
-    rho, dl, ul, literal, weighted, dl_rate, ul_rate = floats
+@given(f=st.lists(_FLOATS, min_size=8, max_size=8), n=st.lists(_INTS, min_size=2, max_size=2),
+       text=st.lists(_TEXTS, min_size=3, max_size=3),
+       trace=st.tuples(_INT64, _INT64, _INT64, _ANY_FLOAT, *[st.booleans()] * 4))
+def test_row_templates_match_the_template_rule(f, n, text, trace):
+    # each command formats a row with one '%' on its template; the bytes must be
+    # the ones the reference rule gives for the whole row, empty cells included
+    rows = [
+        (cli._OPTIMIZE_ROW % (*f[:3], text[0], n[0]), [*f[:3], text[0], n[0]]),
+        (cli._REPLICATION_ROW % (n[0], *f[:5], n[1], *f[5:7]),
+         [n[0], *f[:5], "", "", n[1], *f[5:7], "", "", ""]),
+        (cli._AGGREGATE_ROW % (*f[:7], n[1], f[7], *text),
+         ["aggregate", *f[:7], n[1], f[7], "", *text]),
+        (cli._COMPARE_ROW % tuple(f[:6]), f[:6]),
+    ]
+    # analytic: a rho's template, then each w's cell and weighted age
+    rho, dl, ul, literal, weighted, dl_rate, ul_rate, w = f[:8]
     template = cli._ANALYTIC_ROW % (rho, dl, ul, literal, dl_rate, ul_rate)
-    assert (template % (cli._cell(w), weighted)
-            == cli._line([rho, w, dl, ul, literal, weighted, dl_rate, ul_rate]))
+    rows.append((template % (cli._FLOAT % w, weighted),
+                 [rho, w, dl, ul, literal, weighted, dl_rate, ul_rate]))
+    for line, row in rows:
+        assert line == _template_line(row)
+    # the trace's template, on numpy scalars as a frame holds them and on the Python
+    # values tolist() gives, against the rule the dump had as one f-string per epoch
+    epoch, dl_age, ul_age, buffer, *flags = trace
+    frame = (np.int64(epoch), np.int64(dl_age), np.int64(ul_age), np.float64(buffer),
+             *map(np.bool_, flags))
+    dl_flag, ul_flag, tx_flag, energy = frame[4:]
+    expected = (f"{frame[0]},{frame[1]},{frame[2]},{frame[3]:.12g},"
+                f"{int(dl_flag)},{int(ul_flag)},{int(tx_flag)},{int(energy)}\n")
+    assert simulator._TRACE_ROW % frame == expected
+    assert simulator._TRACE_ROW % tuple(x.item() for x in frame) == expected
 
 
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -596,7 +628,8 @@ def test_analytic_lines_match_one_row_per_point(rho, w, eta):
     literal = avg_uplink_aoi(forms.loads(grid)[1], eta, "literal")
     dl_rate, ul_rate = forms.rates(grid)
     weighted = [weighted_sum(x, dl, ul) for x in w]
-    expected = [cli._line([r, x, dl[i], ul[i], literal[i], weighted[k][i], dl_rate[i], ul_rate[i]])
+    expected = [_template_line([r, x, dl[i], ul[i], literal[i], weighted[k][i], dl_rate[i],
+                                ul_rate[i]])
                 for i, r in enumerate(rho) for k, x in enumerate(w)]
     assert body == expected
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twoway_aoi import simulator
@@ -294,12 +294,7 @@ def test_sample_gain_rejects_a_bad_rate_before_it_draws(lam):
 # engine vs reference (exact agreement)
 
 
-@pytest.mark.parametrize("rho,seed", [(0.5, 11), (0.2, 12), (0.8, 13)])
-def test_power_split_matches_reference(rho, seed):
-    n, warmup = 4000, 40
-    cfg = SimConfig(num_blocks=n, seed=seed, warmup_blocks=warmup)
-    rep = run_power_splitting(REF, rho, cfg)
-    ref = reference_power_split(REF, rho, n, seed, warmup)
+def _assert_matches_reference(rep, ref):
     assert rep.mean_dl_aoi == ref["mean_dl_aoi"]
     assert rep.mean_ul_aoi == ref["mean_ul_aoi"]
     assert rep.dl_rate == ref["dl_rate"]
@@ -307,10 +302,20 @@ def test_power_split_matches_reference(rho, seed):
     assert rep.dl_service_hist == _as_hist(ref["dl_services"])
     assert rep.ul_service_hist == _as_hist(ref["ul_services"])
     assert rep.harvest_slot_hist == _as_hist(ref["slots"])
+    if "energy_block_fraction" in ref:
+        assert rep.energy_block_fraction == pytest.approx(ref["energy_block_fraction"], abs=0)
     assert rep.per_replication[0].final_buffer_joules == pytest.approx(
         ref["final_buffer"], rel=1e-9)
     assert rep.per_replication[0].dl_packets == len(ref["dl_services"])
     assert rep.per_replication[0].ul_packets == len(ref["ul_services"])
+
+
+@pytest.mark.parametrize("rho,seed", [(0.5, 11), (0.2, 12), (0.8, 13)])
+def test_power_split_matches_reference(rho, seed):
+    n, warmup = 4000, 40
+    cfg = SimConfig(num_blocks=n, seed=seed, warmup_blocks=warmup)
+    rep = run_power_splitting(REF, rho, cfg)
+    _assert_matches_reference(rep, reference_power_split(REF, rho, n, seed, warmup))
 
 
 # 0.033 loads the queue to p(1 + theta) = 0.92: packets wait behind one another
@@ -320,19 +325,39 @@ def test_time_split_matches_reference(p, seed):
     cfg = SimConfig(num_blocks=n, seed=seed, warmup_blocks=warmup,
                     scheme="time_split", gen_prob=p)
     rep = run_time_splitting(REF, p, cfg)
-    ref = reference_time_split(REF, p, n, seed, warmup)
-    assert rep.mean_dl_aoi == ref["mean_dl_aoi"]
-    assert rep.mean_ul_aoi == ref["mean_ul_aoi"]
-    assert rep.dl_rate == ref["dl_rate"]
-    assert rep.ul_rate == ref["ul_rate"]
-    assert rep.dl_service_hist == _as_hist(ref["dl_services"])
-    assert rep.ul_service_hist == _as_hist(ref["ul_services"])
-    assert rep.harvest_slot_hist == _as_hist(ref["slots"])
-    assert rep.energy_block_fraction == pytest.approx(ref["energy_block_fraction"], abs=0)
-    assert rep.per_replication[0].final_buffer_joules == pytest.approx(
-        ref["final_buffer"], rel=1e-9)
-    assert rep.per_replication[0].dl_packets == len(ref["dl_services"])
-    assert rep.per_replication[0].ul_packets == len(ref["ul_services"])
+    _assert_matches_reference(rep, reference_time_split(REF, p, n, seed, warmup))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(["power_split", "time_split"]),
+       snr_mode=st.sampled_from(["linear", "exact"]),
+       packet_nats=st.floats(0.5, 200.0), harvest_eff=st.floats(0.05, 1.0),
+       distance=st.floats(0.5, 3.0),
+       load=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       num_blocks=st.integers(1, 2500), warmup=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**16))
+def test_engine_matches_reference_across_parameters(scheme, snr_mode, packet_nats, harvest_eff,
+                                                     distance, load, num_blocks, warmup, seed):
+    # the power split runs at rho = load; the time split at up to 0.97 of its stable
+    # region p < 1/(1 + theta)
+    params = SystemParams(packet_nats=packet_nats, harvest_eff=harvest_eff, distance=distance)
+    w = int(warmup * num_blocks)
+    if scheme == "power_split":
+        if uplink_energy_threshold(params, load) == 0.0:    # a subnormal rho
+            with pytest.raises(ArithmeticError, match="threshold underflows"):
+                run_power_splitting(params, load, SimConfig(num_blocks=num_blocks))
+            return
+        cfg = SimConfig(num_blocks=num_blocks, seed=seed, warmup_blocks=w, snr_mode=snr_mode)
+        rep = run_power_splitting(params, load, cfg)
+        ref = reference_power_split(params, load, num_blocks, seed, w, snr_mode)
+    else:
+        p = 0.97 * load / (1.0 + params.theta)
+        assume(p > 0.0)     # a subnormal load rounds to p = 0
+        cfg = SimConfig(num_blocks=num_blocks, seed=seed, warmup_blocks=w, snr_mode=snr_mode,
+                        scheme=scheme, gen_prob=p)
+        rep = run_time_splitting(params, p, cfg)
+        ref = reference_time_split(params, p, num_blocks, seed, w, snr_mode)
+    _assert_matches_reference(rep, ref)
 
 
 def test_time_split_first_packet_unfinished_at_horizon_matches_reference():
