@@ -25,13 +25,15 @@ the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import SystemParams, _check, _check_weight, _unbounded, derive_constants, split_loads
+from .model import SystemParams, _check, _check_weight, _unbounded, split_loads
+from .model import derive_constants  # noqa: F401  (bound for bench/tracing.py only)
 
 __all__ = [
     "MomentPair",
@@ -72,6 +74,20 @@ class AoiBreakdown:
     w: float
 
 
+def _quiet(fn):
+    """``fn`` under np.errstate(all="ignore"), but for a first argument of Python floats:
+    their arithmetic gives numpy's bits and never warns, and the state costs more."""
+    quiet, first = np.errstate(all="ignore")(fn), fn.__code__.co_varnames[0]
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        x = args[0] if args else kwargs[first]
+        floats = type(x) is float or type(x) is MomentPair and type(x.m1) is type(x.m2) is float
+        return (fn if floats else quiet)(*args, **kwargs)
+
+    return run
+
+
 def _shifted_poisson_log_pmf(load: float, j: int) -> float:
     # log of Pr{S = j} for S = 1 + Poisson(load); load > 0, j >= 1
     return (j - 1) * math.log(load) - load - math.lgamma(j)
@@ -96,7 +112,7 @@ def downlink_service_pmf(dl_load: float, j: int) -> float:
     return math.exp(_shifted_poisson_log_pmf(dl_load, int(j)))
 
 
-@np.errstate(all="ignore")
+@_quiet
 def downlink_service_moments(dl_load) -> MomentPair:
     """Moments of the shifted-Poisson block count: (1 + x, x^2 + 3x + 1)."""
     _check_load(dl_load)
@@ -104,7 +120,7 @@ def downlink_service_moments(dl_load) -> MomentPair:
     return MomentPair(1.0 + x, x * x + 3.0 * x + 1.0)
 
 
-@np.errstate(all="ignore")
+@_quiet
 def renewal_aoi(moments: MomentPair):
     """Average age of a zero-wait renewal system: m1 + 1/2 + m2/(2 m1)."""
     m1, m2 = moments
@@ -137,7 +153,7 @@ def harvest_slot_pmf(eta: float, j: int) -> float:
 def harvest_slot_moments(eta: float) -> MomentPair:
     """Moments of s = max(1, tau_H): (1/eta + e^(-1/eta), 1/eta^2 + 1/eta + e^(-1/eta))."""
     _check_eta(eta)
-    mu = 1.0 / eta
+    mu = 1.0 / float(eta)   # Python floats, so that _quiet skips the state for a float load
     tail = math.exp(-mu)
     m2 = mu * mu + mu + tail
     if math.isinf(m2):
@@ -145,7 +161,7 @@ def harvest_slot_moments(eta: float) -> MomentPair:
     return MomentPair(mu + tail, m2)
 
 
-@np.errstate(all="ignore")
+@_quiet
 def _compound_moments(ul_load, slot: MomentPair) -> MomentPair:
     # the per-load part of uplink_service_moments; ``slot`` is the per-eta part
     count = downlink_service_moments(ul_load)
@@ -193,6 +209,8 @@ def weighted_sum(w, downlink, uplink):
     Works elementwise on numpy arrays.
     """
     _check_weight(w)
+    if type(w) is type(downlink) is type(uplink) is float:     # as in _quiet
+        return downlink if w == 0.0 else uplink if w == 1.0 else (1.0 - w) * downlink + w * uplink
     with np.errstate(all="ignore"):
         out = np.where(w == 0.0, downlink,
                        np.where(w == 1.0, uplink, (1.0 - w) * downlink + w * uplink))
@@ -202,16 +220,14 @@ def weighted_sum(w, downlink, uplink):
 class ClosedForms:
     """The closed forms of one parameter set as functions of the split ratio.
 
-    theta, y = lambda theta d^alpha, c = y / theta and the harvest-slot
-    moments of eta are computed once, on construction; each method evaluates
+    theta and y = lambda theta d^alpha, which the parameters cache, c = y / theta
+    and the harvest-slot moments of eta are taken once, on construction; each method evaluates
     only the rho-dependent arithmetic, on a float or elementwise on a numpy
     array. Ages use the renewal uplink form.
     """
 
     def __init__(self, params: SystemParams):
-        loads = derive_constants(params, 1.0)
-        self.theta = loads.theta
-        self.y = loads.ul_load      # the uplink load y / rho is y itself at rho = 1
+        self.theta, self.y = params.theta, params._y
         # lambda d^alpha as the ratio of the rounded loads, so that a theta-free
         # form keeps the gradient's root where y is subnormal (0 if theta is 0)
         self.c = self.y / self.theta if self.theta else 0.0

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -225,7 +226,7 @@ def cmd_optimize(spec: RunSpec) -> int:
     points = sweep_w(spec.params, sorted(spec.w_grid), spec.opt)
     columns = ["w", "rho_star", "aoi_star", "method", "iterations"]
     _emit(spec, columns, [_OPTIMIZE_ROW % (w, rho, aoi, method, n)
-                          for w, (rho, aoi, n, _, _, method) in points])
+                          for w, (rho, aoi, n, _, method) in points])
     failed = [pt.w for pt in points if not pt.result.converged]
     if failed:
         print(f"optimization failed to converge at w = {failed}", file=sys.stderr)
@@ -315,10 +316,11 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "compare": cmd_compare,
 }
+_parser = functools.cache(build_parser)     # main's, built on its first call in a process
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = merge_spec(args)
         return _COMMANDS[args.command](spec)

@@ -88,6 +88,11 @@ class SystemParams:
             / (self.total_power * self.block_len)
         )
 
+    @cached_property
+    def _y(self) -> float:
+        """The uplink load at rho = 1, lambda * theta * d**alpha, evaluated once."""
+        return self.channel_rate * self.theta * self._d_alpha
+
 
 @dataclass(frozen=True)
 class DerivedLoads:
@@ -104,17 +109,13 @@ class DerivedLoads:
     ul_load: float          # lambda * theta * d**alpha / rho; inf at rho = 0
 
 
-def _all(flags) -> bool:
-    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
-
-
 def _check(name: str, x, inside, rule: str) -> None:
     """Raise ValueError "<name> must be <rule>" unless ``inside`` holds for ``x``,
     a float or an array, naming its first value outside. ``inside`` is written so
     that nan fails it (``x > 0``, not ``not x <= 0``). A quantity that several
     functions take has its rule stated once, in the check named after it.
     """
-    if not _all(inside):
+    if inside is not True and not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise ValueError(f"{name} must be {rule}, got "
                          f"{np.asarray(x)[~np.asarray(inside)][0].item()!r}")
 
@@ -141,24 +142,24 @@ def _unbounded(where, value):
     return math.inf if where else float(value)
 
 
-@np.errstate(all="ignore")
 def split_loads(theta: float, y: float, rho):
     """(dl_load, ul_load) = (theta / (1 - rho), y / rho), with y = lambda theta d**alpha.
 
     The rho-dependent half of :func:`derive_constants`, for callers that keep
     theta and y across many ratios. ``rho`` is a float or a numpy array.
     """
-    rho = rho if isinstance(rho, np.ndarray) else np.float64(rho)
+    if isinstance(rho, np.ndarray):
+        with np.errstate(all="ignore"):
+            _check_split(rho)
+            return _unbounded(rho == 1.0, theta / (1.0 - rho)), _unbounded(rho == 0.0, y / rho)
+    theta, y, rho = float(theta), float(y), float(rho)   # numpy's quotients, and no warning
     _check_split(rho)
-    return _unbounded(rho == 1.0, theta / (1.0 - rho)), _unbounded(rho == 0.0, y / rho)
+    return math.inf if rho == 1.0 else theta / (1.0 - rho), math.inf if rho == 0.0 else y / rho
 
 
 def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:
     """Compute the dimensionless loads for a given power-splitting ratio."""
-    theta = params.theta
-    y = params.channel_rate * theta * params._d_alpha
-    dl_load, ul_load = split_loads(theta, y, rho)
-    return DerivedLoads(theta=theta, dl_load=dl_load, ul_load=ul_load)
+    return DerivedLoads(params.theta, *split_loads(params.theta, params._y, rho))
 
 
 def _gains(gain, out):

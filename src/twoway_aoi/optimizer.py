@@ -67,19 +67,14 @@ class OptOptions:
 
 
 class OptResult(NamedTuple):
-    """Outcome of one minimization: the ratio, its objective, and the path taken.
+    """Outcome of one minimization: the ratio, its objective, and how it was reached.
     A NamedTuple, so a sweep builds each at a tuple's cost; ``_replace`` copies it."""
 
     rho_star: float
     aoi_star: float
     iterations: int
-    trace: tuple                       # (rho_n, objective_n, gradient_n) per step
     converged: bool
     method: str                        # "newton" or "boundary"
-
-    def __repr__(self):   # the trace left out
-        return (f"OptResult(rho_star={self.rho_star!r}, aoi_star={self.aoi_star!r}, iterations="
-                f"{self.iterations!r}, converged={self.converged!r}, method={self.method!r})")
 
 
 class SweepPoint(NamedTuple):
@@ -176,7 +171,7 @@ def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> lis
     # stops before its first step
     at_lo = _gradient(forms, lo0, w) >= 0.0
     edge = at_lo | (_gradient(forms, hi0, w) <= 0.0)
-    lanes, rhos, iterations, converged = [], [], np.zeros(w.size, int), np.zeros_like(edge)
+    rho_star, iterations, converged = np.empty(w.size), np.zeros(w.size, int), np.zeros_like(edge)
 
     # otherwise g(lo) < 0 < g(hi), and each iterate's sign moves one end of
     # the bracket onto it, so lo < root <= hi holds throughout
@@ -189,11 +184,10 @@ def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> lis
         lo, hi, moved = (np.full(w.size, x) for x in (lo0, hi0, math.inf))
         for it in range(opts.max_iters + 1):
             h, dh = _cleared(forms, rho, wl)
-            lanes.append(lane)
-            rhos.append(rho)
             conv = stop | (moved <= opts.tol) & (np.abs(h) <= h_tol)
             done = conv | (it == opts.max_iters)
-            iterations[lane[done]], converged[lane[done]] = it, conv[done]
+            left = lane[done]
+            rho_star[left], iterations[left], converged[left] = rho[done], it, conv[done]
             lane, wl, stop, rho, h, dh, lo, hi, h_tol = (
                 x[~done] for x in (lane, wl, stop, rho, h, dh, lo, hi, h_tol))
             if not lane.size:
@@ -211,15 +205,7 @@ def sweep_w(params: SystemParams, w_grid, opts: OptOptions | None = None) -> lis
             nxt = np.minimum(np.maximum(rho + step, lo), hi)
             rho, moved = nxt, np.abs(nxt - rho)
 
-    # the trace rows of all lanes in one evaluation, then grouped by weight in
-    # iteration order; a weight's last row holds its rho_star and aoi_star
-    lane = np.concatenate(lanes)
-    order = np.argsort(lane, kind="stable")
-    rho, w_row = np.concatenate(rhos)[order], w[lane[order]]
-    rows = list(zip(rho.tolist(), _objective(forms, rho, w_row).tolist(),
-                    _gradient(forms, rho, w_row).tolist()))
-    ends = np.cumsum(np.bincount(lane, minlength=w.size)).tolist()
-    traces = [tuple(rows[a:b]) for a, b in zip([0, *ends], ends)]
-    methods = np.where(edge, "boundary", "newton").tolist()
-    return [SweepPoint(v, OptResult(t[-1][0], t[-1][1], n, t, ok, method)) for v, t, n, ok, method
-            in zip(grid, traces, iterations.tolist(), converged.tolist(), methods)]
+    # aoi_star in one evaluation over the final ratios, elementwise as a lone solve's would be
+    results = zip(rho_star.tolist(), _objective(forms, rho_star, w).tolist(), iterations.tolist(),
+                  converged.tolist(), np.where(edge, "boundary", "newton").tolist())
+    return list(map(SweepPoint._make, zip(grid, map(OptResult._make, results))))

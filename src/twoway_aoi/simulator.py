@@ -699,6 +699,9 @@ def _check_run(params: SystemParams, rho: float, config: SimConfig) -> None:
         _check_split(rho, "power-split rho", interior=True)
     else:
         _check_gen_prob(config.gen_prob, params.theta, interior=True)
+    # nats, harvests and the threshold divide by lambda d**alpha or N0 d**alpha (monotone rounding)
+    if min(params.channel_rate, params.noise_density) * params._d_alpha == 0.0:
+        raise ArithmeticError(f"the path loss underflows to 0 at distance {params.distance!r}")
 
 
 def _run(params: SystemParams, rho: float, config: SimConfig) -> SimReport:

@@ -282,12 +282,17 @@ def test_closed_form_overflow_is_numerical_failure(argv):
     ["simulate", "--channel-rate", "1e-310", "--num-blocks", "1000"],   # each gain draw
     ["compare", "--channel-rate", "1e-310", "--num-blocks", "1000", "--p-grid", "0.001"],
     ["simulate", "--split-ratio", "5e-324", "--num-blocks", "1000"],    # the energy threshold
+    ["simulate", "--distance", "1e-200", "--num-blocks", "1000"],       # d**alpha itself
+    ["simulate", "--distance", "1e-170", "--num-blocks", "1000"],
+    ["compare", "--distance", "1e-200", "--num-blocks", "1000"],
 ])
 def test_simulated_energy_overflow_is_numerical_failure(argv):
     result = _run_cli_process(argv)
     assert result.returncode == 2
     assert result.stderr.startswith("numerical failure: ")
     assert "RuntimeWarning" not in result.stderr
+    # an underflowing path loss names its input
+    assert ("distance" in result.stderr) == ("--distance" in argv)
 
 
 def test_infinite_nats_deliver_a_packet_per_block_without_a_warning():

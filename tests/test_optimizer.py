@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,20 +172,9 @@ def test_options_validation():
         OptOptions(rho_init=1.5)
 
 
-def test_trace_is_recorded():
-    res = newton_solve(REF, 0.5)
-    assert isinstance(res, OptResult)
-    assert len(res.trace) >= 2
-    rho_path = [t[0] for t in res.trace]
-    assert rho_path[0] == pytest.approx(0.5)
-    assert rho_path[-1] == res.rho_star
-    # gradients recorded alongside
-    assert all(len(t) == 3 for t in res.trace)
-
-
 def _ulp_nudge(forms, rho, w):
-    # takes arrays of rho and w, one element per trace row, as the solver
-    # evaluates its rows in one call; one ulp up where rho's last mantissa
+    # takes arrays of rho and w, one element per weight, as the solver
+    # evaluates its aoi_star in one call; one ulp up where rho's last mantissa
     # bit is set (a uniform scaling would keep the order of any two objective
     # values, so no comparison would see it)
     obj = weighted_sum(w, *forms.ages(rho))
@@ -197,7 +187,7 @@ _SWEEP_GRID = [i / 1000 for i in range(1001)]
 
 def test_rho_star_ignores_the_objectives_last_bit(monkeypatch):
     # the iteration reads only the gradient and curvature; the objective
-    # fills the trace and aoi_star, so its last bits must not move a root
+    # fills aoi_star alone, so its last bits must not move a root
     def solved():
         return [(pt.result.rho_star, pt.result.iterations, pt.result.aoi_star)
                 for pt in sweep_w(REF, _SWEEP_GRID)]
@@ -278,8 +268,8 @@ _PARAMS = st.fixed_dictionaries({
 def test_per_solve_constants_are_bit_identical(fields, rho, w):
     # the solver evaluates through one ClosedForms per solve; the public
     # functions build their constants per call; both must agree under ==,
-    # so that a solve's aoi_star and trace rows are the public values bit
-    # for bit (rho_star follows the gradient sign alone)
+    # so that a solve's aoi_star is the public value bit for bit (rho_star
+    # follows the gradient sign alone)
     params = SystemParams(**fields)
     forms = ClosedForms(params)
     assert optimizer._objective(forms, rho, w) == weighted_sum_aoi(params, rho, w).weighted
@@ -301,10 +291,9 @@ def test_per_solve_constants_are_bit_identical(fields, rho, w):
              1.0 / uplink_service_moments(loads.ul_load, eta).m1)
     assert forms.rates(rho) == data_rates(fresh, rho) == rates
 
-    # every row the solver records holds the public objective and gradient
-    for rho_n, obj_n, g_n in newton_solve(params, w).trace:
-        assert obj_n == weighted_sum_aoi(fresh, rho_n, w).weighted
-        assert g_n == aoi_gradient(fresh, rho_n, w)
+    # the solver's aoi_star is the public objective at its rho_star
+    res = newton_solve(params, w)
+    assert res.aoi_star == weighted_sum_aoi(fresh, res.rho_star, w).weighted
 
 
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -317,22 +306,23 @@ _DIPPING_CLEARED = {"harvest_eff": 1.0, "distance": 1.0, "packet_nats": 0.01}
 
 
 def _loop_solve(params, w, opts):
-    """One weight's solve as a scalar loop: the reference for the lockstep sweep."""
+    """One weight's solve as a scalar loop: the reference for the lockstep sweep.
+
+    Returns the result and the ratios the solve iterated over, none for an edge.
+    """
     forms = ClosedForms(params)
     lo, hi = opts.boundary_eps, 1.0 - opts.boundary_eps
     g_lo, g_hi = (float(optimizer._gradient(forms, edge, w)) for edge in (lo, hi))
     if g_lo >= 0.0 or g_hi <= 0.0:
-        rho, g = (lo, g_lo) if g_lo >= 0.0 else (hi, g_hi)
-        obj = optimizer._objective(forms, rho, w)
-        return OptResult(rho, obj, 0, ((rho, obj, g),), True, "boundary")
+        rho = lo if g_lo >= 0.0 else hi
+        return OptResult(rho, optimizer._objective(forms, rho, w), 0, True, "boundary"), ()
     h_tol = optimizer._GRAD_REL_TOL * max(-optimizer._cleared(forms, lo, w)[0],
                                           optimizer._cleared(forms, hi, w)[0])
-    trace = []
+    iterates = []
     rho, moved = min(max(opts.rho_init, lo), hi), math.inf
     for iterations in range(opts.max_iters + 1):
         h, dh = optimizer._cleared(forms, rho, w)
-        trace.append((rho, optimizer._objective(forms, rho, w),
-                      float(optimizer._gradient(forms, rho, w))))
+        iterates.append(rho)
         converged = moved <= opts.tol and abs(h) <= h_tol
         if converged or iterations == opts.max_iters:
             break
@@ -345,7 +335,8 @@ def _loop_solve(params, w, opts):
             step *= 0.5
         nxt = min(max(rho + step, lo), hi)
         moved, rho = abs(nxt - rho), nxt
-    return OptResult(rho, trace[-1][1], iterations, tuple(trace), converged, "newton")
+    result = OptResult(rho, optimizer._objective(forms, rho, w), iterations, converged, "newton")
+    return result, tuple(iterates)
 
 
 @pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
@@ -353,16 +344,16 @@ def test_results_are_immutable_hashable_and_equal_by_field(w):
     opts = OptOptions()
     point = sweep_w(REF, [w], opts)[0]
     res = point.result
-    for obj, name in ((res, "rho_star"), (res, "trace"), (point, "w"), (point, "result")):
+    for obj, name in ((res, "rho_star"), (res, "iterations"), (point, "w"), (point, "result")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0.5)
     # built positionally, as the scalar reference builds it, the result is equal
     # and hashes alike, so a point can key a dict
-    again = SweepPoint(w, _loop_solve(REF, w, opts))
+    again = SweepPoint(w, _loop_solve(REF, w, opts)[0])
     assert again == point and hash(again) == hash(point)
     assert {point: "solved"}[again] == "solved"
     assert res._replace(method="other") != res and res.method in ("newton", "boundary")
-    # the trace, one row per iterate, stays out of the repr
+    # the NamedTuples' own reprs, every field shown
     assert repr(res) == (f"OptResult(rho_star={res.rho_star!r}, aoi_star={res.aoi_star!r}, "
                          f"iterations={res.iterations!r}, converged={res.converged!r}, "
                          f"method={res.method!r})")
@@ -381,13 +372,29 @@ def test_results_are_immutable_hashable_and_equal_by_field(w):
 def test_sweep_lanes_share_no_state(fields, rho_init, tol, max_iters, interior, edges):
     # edge weights leave the sweep before it iterates and interior ones after
     # different numbers of steps (or at max_iters); each must come out as its
-    # lone solve does, and as the scalar loop does, trace rows included
+    # lone solve does, and step as the scalar loop does
     params = SystemParams(**fields)
     opts = OptOptions(rho_init=rho_init, tol=tol, max_iters=max_iters)
     grid = [*interior, *edges]   # in drawn order: the lanes need no sorting
-    got = sweep_w(params, grid, opts)
+    iterates = {w: [] for w in grid}
+    cleared = optimizer._cleared
+
+    def recorded(forms, rho, w):
+        # the sweep's iterations pass an array of ratios, its set-up the edges as floats
+        if isinstance(rho, np.ndarray):
+            for w_n, rho_n in zip(w.tolist(), rho.tolist()):
+                iterates[w_n].append(rho_n)
+        return cleared(forms, rho, w)
+
+    with mock.patch.object(optimizer, "_cleared", recorded):
+        got = sweep_w(params, grid, opts)
     assert got == [SweepPoint(w, newton_solve(params, w, opts)) for w in grid]
-    assert got == [SweepPoint(w, _loop_solve(params, w, opts)) for w in grid]
+    for w in grid:
+        want, steps = _loop_solve(params, w, opts)
+        assert got[grid.index(w)].result == want
+        if want.method == "newton":
+            # a weight drawn k times is k lanes, each at every iterate of the loop
+            assert iterates[w] == [rho for rho in steps for _ in range(grid.count(w))]
 
 
 @settings(max_examples=100, deadline=None)
