@@ -131,6 +131,11 @@ def _check_split(rho, name: str = "rho", interior: bool = False) -> None:
     _check(name, rho, inside, "in (0, 1)" if interior else "in [0, 1]")
 
 
+def _check_count(name: str, n, low: int) -> None:
+    # a count or a seed is a Python or numpy integer: a float would be truncated downstream
+    _check(name, n, isinstance(n, (int, np.integer)) and n >= low, f"an integer >= {low}")
+
+
 def _check_snr_mode(mode: str, name: str = "mode") -> None:
     _check(name, mode, mode in SNR_MODES, f"one of {SNR_MODES}")
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import ClosedForms, weighted_sum
-from .model import SystemParams, _check, _check_split, _check_weight
+from .model import SystemParams, _check, _check_count, _check_split, _check_weight
 
 # bench/tracing.py wraps these names in this module's namespace; the solver
 # evaluates through ClosedForms, so the names are bound for the tracer only
@@ -62,7 +62,7 @@ class OptOptions:
     def __post_init__(self):
         _check("boundary_eps", self.boundary_eps, 0.0 < self.boundary_eps < 0.5, "in (0, 0.5)")
         _check("tol", self.tol, self.tol > 0, "> 0")
-        _check("max_iters", self.max_iters, self.max_iters >= 1, ">= 1")
+        _check_count("max_iters", self.max_iters, 1)
         _check_split(self.rho_init, "rho_init", interior=True)
 
 

@@ -6,11 +6,10 @@ ages, rates, and service/harvest histograms. The engine is the empirical
 oracle for every closed form in :mod:`twoway_aoi.analytic`.
 
 Discrete-time age convention (the one that reproduces the renewal formula
-E(S) + 1/2 + E(S^2)/(2 E(S)) exactly): a packet completing in the block
-that ends at epoch c is registered at the receiver at epoch c + 1, where
-the age resets to (c + 1) - generation_epoch; between resets the age grows
-by one per epoch. With one-block deterministic service the sampled age is
-the constant 2.
+E(S) + 1/2 + E(S^2)/(2 E(S)) exactly): the age at epoch e is e - g, where
+g is the generation epoch of the latest packet delivered by epoch e, and a
+packet completed in block c is delivered at epoch c + 1. With one-block
+deterministic service the sampled age is the constant 2.
 
 Uplink energy accounting: the device banks the energy harvested in every
 block (transmit blocks included) and needs a fixed threshold per transmit
@@ -54,6 +53,7 @@ from .analytic import _check_gen_prob, ts_equivalent_rho, weighted_sum
 from .model import (
     SystemParams,
     _check,
+    _check_count,
     _check_snr_mode,
     _check_split,
     harvested_energy,
@@ -123,13 +123,14 @@ class SimConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        _check("num_blocks", self.num_blocks, self.num_blocks >= 1, ">= 1")
-        _check("seed", self.seed, self.seed >= 0, ">= 0")
-        _check("replications", self.replications, self.replications >= 1, ">= 1")
+        _check_count("num_blocks", self.num_blocks, 1)
+        _check_count("seed", self.seed, 0)
+        _check_count("replications", self.replications, 1)
         _check_snr_mode(self.snr_mode, "snr_mode")
         _check("scheme", self.scheme, self.scheme in SCHEMES, f"one of {SCHEMES}")
         w = self.resolved_warmup()
-        _check("warmup_blocks", w, 0 <= w < self.num_blocks, "in [0, num_blocks)")
+        _check_count("warmup_blocks", w, 0)
+        _check("warmup_blocks", w, w < self.num_blocks, "< num_blocks")
         if (self.scheme == "time_split") != (self.gen_prob is not None):
             raise ValueError("gen_prob goes with scheme = 'time_split', and only with it")
         if self.gen_prob is not None:     # a run checks it against theta
@@ -235,43 +236,22 @@ class _Walk:
         return at, services
 
 
-def _resets(reset_epochs, reset_values, horizon: int, last):
-    """Reset epochs and ages through ``horizon``, led by the earlier reset ``last``."""
-    d = np.asarray(np.concatenate(([last[0]], reset_epochs)), dtype=np.int64)
-    v = np.asarray(np.concatenate(([last[1]], reset_values)), dtype=np.int64)
-    keep = d <= horizon
-    return d[keep], v[keep]
+def _stretches(epochs, gens, start: int, hi: int, last):
+    """The stretches of epochs start+1..hi between deliveries: (first epoch, g, length).
 
-
-def _age_sum(reset_epochs, reset_values, warmup: int, horizon: int,
-             last=(0, 0)) -> int:
-    """Exact integer sum of the age path over epochs warmup+1 .. horizon.
-
-    The age grows by one per epoch; at reset epoch d_k it drops to v_k and
-    resumes growing. ``last`` is the latest (epoch, age) reset at or before
-    epoch warmup+1; the default (0, 0) is a path that starts at age 0.
+    From a delivery until the next, the age at epoch e is e - g, g being the
+    delivered packet's generation epoch. ``epochs`` and ``gens`` are the
+    delivery and generation epochs of the packets delivered after ``last``,
+    the latest (delivery epoch, generation epoch) at or before epoch start+1.
     """
-    d, v = _resets(reset_epochs, reset_values, horizon, last)
-    # one arithmetic series per segment between consecutive resets
-    seg_hi = np.append(d[1:] - 1, horizon)
-    lo = np.maximum(d, warmup + 1)
-    m = seg_hi >= lo
-    cnt = (seg_hi - lo + 1)[m]
-    first = (v + (lo - d))[m]
-    return int((cnt * first).sum() + (cnt * (cnt - 1) // 2).sum())
+    edges = np.concatenate(([last[0]], epochs, [hi + 1]))
+    np.minimum(np.maximum(edges, start + 1, out=edges), hi + 1, out=edges)   # into the window
+    return edges[:-1], np.concatenate(([last[1]], gens)), edges[1:] - edges[:-1]
 
 
-def _age_path(reset_epochs, reset_values, horizon: int, start: int = 0,
-              last=(0, 0)) -> np.ndarray:
-    """Materialized age at epochs start+1..horizon (trace/debug use only).
-
-    ``last`` is as in :func:`_age_sum`, at or before epoch start+1.
-    """
-    epochs = np.arange(start + 1, horizon + 1, dtype=np.int64)
-    d, v = _resets(reset_epochs, reset_values, horizon, last)
-    # offset from the most recent reset
-    idx = np.searchsorted(d, epochs, side="right") - 1
-    return v[idx] + (epochs - d[idx])
+def _age_sum(first, g, n) -> int:
+    """Exact integer sum of the age over the stretches of :func:`_stretches`."""
+    return int(n @ (first - g) + n @ (n - 1) // 2)      # each n (n - 1) is even
 
 
 def aoi_from_path(deliveries) -> float:
@@ -282,8 +262,9 @@ def aoi_from_path(deliveries) -> float:
     between the first and last delivery.
     """
     d, s = _check_deliveries(deliveries)
-    # the age over epochs d_0 .. d_last - 1, reset to s_0 + 1 at the first delivery
-    total = _age_sum(d[1:], s[1:] + 1, int(d[0]) - 1, int(d[-1]) - 1, (int(d[0]), int(s[0]) + 1))
+    g = d - 1 - s       # completed in block d - 1 after s blocks of service
+    # the age over epochs d_0 .. d_last - 1
+    total = _age_sum(*_stretches(d[1:], g[1:], d[0] - 1, d[-1] - 1, (d[0], g[0])))
     return total / int(d[-1] - d[0])
 
 
@@ -302,14 +283,16 @@ def aoi_via_qk(deliveries) -> float:
 
 
 def _check_deliveries(deliveries):
-    arr = np.asarray(list(deliveries), dtype=np.int64)
+    arr = np.asarray(list(deliveries))
     if arr.size == 0:
         raise ValueError("delivery list is empty")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("deliveries must be (delivery_epoch, service_time) pairs")
+    if arr.dtype.kind not in "iu":
+        raise ValueError("delivery epochs and service times must be integers within int64")
     if len(arr) < 2:
         raise ValueError("need at least two deliveries to form a span")
-    d, s = arr[:, 0], arr[:, 1]
+    d, s = arr.astype(np.int64).T
     if np.any(np.diff(d) <= 0):
         raise ValueError("delivery epochs must be strictly increasing")
     if np.any(s < 1):
@@ -468,20 +451,16 @@ class _Deliveries:
         self.warmup = warmup
         self.age_sum = 0
         self.counts = np.zeros(0, dtype=np.int64)     # window deliveries by service time
-        self.last = (0, 0)      # latest reset (epoch, age); the age starts at 0
+        self.last = (0, 0)      # latest (delivery epoch, generation epoch); the age starts at 0
 
-    def add(self, blocks, system, services, lo: int, hi: int):
-        """Deliveries at ``blocks`` within lo+1..hi; sums the age over epochs lo+1..hi.
-
-        ``system`` is each packet's time from generation to delivery (the
-        age right after the reset); under zero wait it equals the service
-        time.
-        """
-        resets, values = blocks + 1, system + 1
-        self.age_sum += _age_sum(resets, values, max(self.warmup, lo), hi, self.last)
+    def add(self, blocks, gens, services, lo: int, hi: int):
+        """Packets generated at epochs ``gens``, completed in ``blocks`` within lo+1..hi
+        and so delivered at ``blocks + 1``; sums the age over epochs lo+1..hi."""
+        epochs = blocks + 1
+        self.age_sum += _age_sum(*_stretches(epochs, gens, max(self.warmup, lo), hi, self.last))
         self.counts = _count(self.counts, services[blocks > self.warmup])
-        if len(resets):
-            self.last = (int(resets[-1]), int(values[-1]))
+        if len(epochs):
+            self.last = (int(epochs[-1]), int(gens[-1]))
 
 
 def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int, path):
@@ -496,7 +475,7 @@ def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int, pat
         gain = sample_gain(dl_stream, params.channel_rate, out=nats)
         per_block_downlink_nats(params, rho, gain, cfg.snr_mode, out=nats)
         done, services = walk.completions(path[:hi - lo + 1])
-        yield lo, hi, (done, services, services), None
+        yield lo, hi, (done, done - services, services), None
 
 
 def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int, path):
@@ -515,45 +494,46 @@ def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int, path):
     gen = make_stream(cfg.seed, rep, "packet_gen")
     dl_stream = make_stream(cfg.seed, rep, "dl_gain")
     walk = _Walk(params.packet_nats)            # over data blocks
-    arrivals = np.empty(0, dtype=np.int64)      # arrival blocks of the undelivered packets
+    gens = np.empty(0, dtype=np.int64)          # generation epochs of the undelivered packets
     services = np.empty(0, dtype=np.int64)      # data blocks of those packets and the next ones
     free = 0            # completion block of the latest delivered packet
     used = 0            # data blocks served so far
     for lo, hi in _chunks(cfg.num_blocks):
         c = hi - lo
         u = gen.random(out=path[1:c + 1])
-        arrivals = np.concatenate((arrivals, np.flatnonzero(u < cfg.gen_prob) + (lo + 1)))
+        # a packet generated at epoch g arrives in block g + 1
+        gens = np.concatenate((gens, np.flatnonzero(u < cfg.gen_prob) + lo))
         nats = path[1:max(used + c - walk.fed, 0) + 1]
         gain = sample_gain(dl_stream, params.channel_rate, out=nats)
         per_block_downlink_nats(params, 0.0, gain, cfg.snr_mode, out=nats)
         _, new = walk.completions(path[:len(nats) + 1])
         services = np.concatenate((services, new))
-        m = min(len(arrivals), len(services))
-        done = _fcfs(arrivals[:m], services[:m], free)
+        m = min(len(gens), len(services))
+        done = _fcfs(gens[:m], services[:m], free)
         # busy in block b while more packets have arrived by b than completed by
-        # b - 1: an arrival in block a counts from index a - lo - 1 (a packet
+        # b - 1: a packet generated at epoch g counts from index g - lo (one
         # queued from an earlier chunk from index 0), and a completion in block d
         # frees block d + 1, index d - lo. Every completion here exceeds lo: one
         # by lo was delivered in its chunk, and a packet without a known service
         # cannot complete within this chunk, so it counts as busy through hi.
-        queued = np.bincount(np.maximum(arrivals - lo - 1, 0), minlength=c)
+        queued = np.bincount(np.maximum(gens - lo, 0), minlength=c)
         queued -= np.bincount(done[done < hi] - lo, minlength=c)
         busy = np.cumsum(queued, out=queued) > 0
         used += int(busy.sum())
         k = int(np.searchsorted(done, hi, side="right"))
-        dl = (done[:k], done[:k] - (arrivals[:k] - 1), services[:k])
+        dl = (done[:k], gens[:k], services[:k])
         free = int(done[k - 1]) if k else free
-        arrivals, services = arrivals[k:], services[k:]
+        gens, services = gens[k:], services[k:]
         yield lo, hi, dl, busy
 
 
-def _fcfs(arrivals, services, free: int):
+def _fcfs(gens, services, free: int):
     """FCFS completion blocks behind a server busy through block ``free``.
 
-    done_k = max(arr_k - 1, done_{k-1}) + S_k, with done_0 = free.
+    done_k = max(g_k, done_{k-1}) + S_k, with done_0 = free.
     """
     cum_s = np.cumsum(services)
-    slack = np.maximum.accumulate(np.maximum(arrivals - 1 - (cum_s - services), free))
+    slack = np.maximum.accumulate(np.maximum(gens - (cum_s - services), free))
     return slack + cum_s
 
 
@@ -561,7 +541,7 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     """One replication: the scheme's downlink, the device's uplink, the summary.
 
     The downlink of ``cfg.scheme`` yields, per chunk of blocks lo+1..hi,
-    ``(lo, hi, dl, busy)``: (delivery blocks, system times, service times)
+    ``(lo, hi, dl, busy)``: (completion blocks, generation epochs, service times)
     and the mask of time-split data blocks (None under power split, which has
     none). The device harvests at power fraction ``rho`` (power split) or 1
     (time split), and nothing in a data block; ``rho`` also fixes its transmit
@@ -583,8 +563,6 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     else:
         downlink, power = _ts_downlink(params, cfg, rep, nats), 1.0
     threshold = uplink_energy_threshold(params, rho)
-    if threshold == 0.0:    # every block would bank infinitely many transmissions
-        raise ArithmeticError(f"the uplink energy threshold underflows to 0 at rho = {rho!r}")
     hv_stream = make_stream(cfg.seed, rep, "harvest_gain")
     ul_stream = make_stream(cfg.seed, rep, "ul_gain")
     schedule = _Schedule(n, size)
@@ -609,12 +587,13 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
             gain = sample_gain(ul_stream, lam, out=ul_nats)
             per_block_uplink_nats(params, rho, gain, cfg.snr_mode, out=ul_nats)
             ul_blocks, ul_services = walk.completions(nats[:len(tx) + 1], tx)
+            ul_chunk = (ul_blocks, ul_blocks - ul_services, ul_services)
             if trace is not None:   # before the tallies move past this chunk
-                trace.writelines(_trace_lines(lo, hi, (dl, dl_chunk[:2]),
-                                              (ul, (ul_blocks, ul_services)), tx, energy_cum,
-                                              schedule.sent - len(tx), threshold, busy))
+                trace.writelines(_trace_lines(lo, hi, (dl, dl_chunk[:2]), (ul, ul_chunk[:2]),
+                                              tx, energy_cum, schedule.sent - len(tx),
+                                              threshold, busy))
             dl.add(*dl_chunk, lo, hi)
-            ul.add(ul_blocks, ul_services, ul_services, lo, hi)
+            ul.add(*ul_chunk, lo, hi)
             gap_tx = tx[len(tx) - len(gaps):]      # sorted: those past the warmup come last
             slot_counts = _count(slot_counts, gaps[np.searchsorted(gap_tx, warmup, "right"):])
             window = max(hi - max(warmup, lo), 0)     # the chunk's blocks past the warmup
@@ -702,6 +681,8 @@ def _check_run(params: SystemParams, rho: float, config: SimConfig) -> None:
     # nats, harvests and the threshold divide by lambda d**alpha or N0 d**alpha (monotone rounding)
     if min(params.channel_rate, params.noise_density) * params._d_alpha == 0.0:
         raise ArithmeticError(f"the path loss underflows to 0 at distance {params.distance!r}")
+    if uplink_energy_threshold(params, rho) == 0.0:   # each block would bank unboundedly many
+        raise ArithmeticError(f"the uplink energy threshold underflows to 0 at rho = {rho!r}")
 
 
 def _run(params: SystemParams, rho: float, config: SimConfig) -> SimReport:
@@ -769,14 +750,15 @@ def _trace_lines(lo, hi, dl, ul, tx, energy_cum, sent, threshold, busy) -> list[
     """Trace rows of epochs lo+1..hi, one line per epoch.
 
     ``dl`` and ``ul`` pair a direction's tally, not yet past this chunk,
-    with the chunk's (delivery blocks, system times); ``sent`` counts the
-    transmissions before the chunk's ``tx``.
+    with the chunk's (completion blocks, generation epochs); ``sent`` counts
+    the transmissions before the chunk's ``tx``.
     """
     epochs = np.arange(lo + 1, hi + 1, dtype=np.int64)
     energy = np.ones(hi - lo, dtype=bool) if busy is None else ~busy
     ages, delivered = [], []
-    for tally, (blocks, system) in (dl, ul):
-        ages.append(_age_path(blocks + 1, system + 1, hi, lo, tally.last))
+    for tally, (blocks, gens) in (dl, ul):
+        _, g, n = _stretches(blocks + 1, gens, lo, hi, tally.last)
+        ages.append(epochs - np.repeat(g, n))
         delivered.append(np.isin(epochs, np.append(blocks + 1, tally.last[0])))
     buffer = energy_cum - (sent + np.searchsorted(tx, epochs, side="right")) * threshold
     columns = (epochs, *ages, buffer, *delivered, np.isin(epochs, tx), energy)

@@ -168,6 +168,9 @@ def test_options_validation():
         OptOptions(tol=0.0)
     with pytest.raises(ValueError):
         OptOptions(max_iters=0)
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        OptOptions(max_iters=3.0)
+    assert OptOptions(max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ValueError):
         OptOptions(rho_init=1.5)
 

@@ -434,20 +434,27 @@ def _age_by_loop(resets: dict, start: int, horizon: int, last) -> list:
        values=st.lists(st.integers(1, 60), min_size=25, max_size=25),
        warmup=st.integers(0, 130), horizon=st.integers(0, 130),
        last=st.tuples(st.integers(0, 131), st.integers(0, 60)))
-def test_age_sum_matches_age_path(epochs, values, warmup, horizon, last):
+def test_stretches_match_age_by_loop(epochs, values, warmup, horizon, last):
+    # deliveries at epochs d with ages v right after them: generation epochs d - v
     d = np.array(sorted(epochs), dtype=np.int64)
     v = np.array(values[: len(d)], dtype=np.int64)
-    # the path from age 0 at epoch 0, summed over a window
-    path = simulator._age_path(d, v, horizon)
-    assert path.tolist() == _age_by_loop(dict(zip(d.tolist(), v.tolist())), 0, horizon, (0, 0))
-    assert simulator._age_sum(d, v, warmup, horizon) == int(path[warmup:].sum())
-    # the carried form: resets after a latest reset at or before epoch warmup+1
+
+    def check(start, last):
+        # the ages at epochs start+1..horizon after the (epoch, age) delivery ``last``
+        want = _age_by_loop(dict(zip(d.tolist(), v.tolist())), start, horizon, last)
+        stretches = simulator._stretches(d, d - v, start, horizon, (last[0], last[0] - last[1]))
+        _, g, n = stretches
+        assert (np.arange(start + 1, horizon + 1) - np.repeat(g, n)).tolist() == want
+        assert simulator._age_sum(*stretches) == sum(want)
+
+    # the path from age 0 at epoch 0, over the whole horizon and over a window
+    check(0, (0, 0))
+    check(warmup, (0, 0))
+    # the carried form: deliveries after a latest one at or before epoch warmup+1
     last = (min(last[0], warmup + 1), last[1])
     after = d > last[0]
     d, v = d[after], v[after]
-    path = simulator._age_path(d, v, horizon, warmup, last)
-    assert path.tolist() == _age_by_loop(dict(zip(d.tolist(), v.tolist())), warmup, horizon, last)
-    assert simulator._age_sum(d, v, warmup, horizon, last) == int(path.sum())
+    check(warmup, last)
 
 
 def _as_hist(values):
@@ -529,6 +536,14 @@ def test_worker_arithmetic_error_is_numerical_failure(monkeypatch, pools, capsys
     assert main(["simulate", "--num-blocks", "2000", "--replications", "3"]) == 2
     assert pools == [2]
     assert "numerical failure: in a worker" in capsys.readouterr().err
+
+
+def test_threshold_underflow_is_refused_before_any_pool(monkeypatch, pools):
+    # a subnormal rho rounds the energy per transmit block to 0
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ArithmeticError, match="threshold underflows to 0 at rho = 1e-320"):
+        run_power_splitting(REF, 1e-320, SimConfig(num_blocks=2000, replications=2))
+    assert pools == []
 
 
 def test_one_replication_starts_no_pool(monkeypatch, pools):
@@ -643,6 +658,14 @@ def test_config_validation():
         SimConfig(num_blocks=100, gen_prob=0.1)               # not time_split
     with pytest.raises(ValueError, match="seed"):
         SimConfig(num_blocks=100, seed=-1)
+    # counts and seeds are integers: a float is refused, not truncated
+    for key, value in [("num_blocks", 1000.5), ("seed", 1.5), ("replications", 2.0),
+                       ("warmup_blocks", 10.5), ("num_blocks", "1000")]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            SimConfig(**{"num_blocks": 1000, key: value})
+    for integer in (np.int64(1000), np.uint16(1000)):
+        assert SimConfig(num_blocks=integer, seed=np.int32(3), warmup_blocks=np.int8(10),
+                         replications=np.uint8(2)).resolved_warmup() == 10
     with pytest.raises(ValueError):
         run_power_splitting(REF, 1.0, SimConfig(num_blocks=100))
     with pytest.raises(ValueError, match="config.scheme"):
@@ -873,6 +896,11 @@ def test_aoi_path_validation():
         aoi_via_qk([(1, 1)])
     with pytest.raises(ValueError, match="pairs"):
         aoi_via_qk([(1, 1, 1), (3, 2, 1)])
+    # a fractional epoch or service is refused, not truncated to [(1, 1), (3, 2)]
+    for deliveries in ([(1.5, 1), (3, 2)], [(1, 1.9), (3, 2)]):
+        for aoi in (aoi_from_path, aoi_via_qk):
+            with pytest.raises(ValueError, match="integers"):
+                aoi(deliveries)
 
 
 # ---------------------------------------------------------------------------
