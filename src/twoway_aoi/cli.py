@@ -289,18 +289,17 @@ def cmd_simulate(spec: RunSpec) -> int:
 def cmd_compare(spec: RunSpec) -> int:
     w = spec.params.weight_uplink
     columns = ["p", "rho_ts", "R_ps", "R_ts", "aoi_ps", "aoi_ts"]
-    split = [(p, ts_equivalent_rho(p, spec.params.theta)) for p in spec.p_grid]
-    # each run as its runner passes it on, so the pool's jobs are the ones it asks
-    # for, and started() checks the whole grid before the first replication
-    ts_sim = {p: replace(spec.sim, scheme="time_split", gen_prob=p) for p in spec.p_grid}
     ps_sim = replace(spec.sim, scheme="power_split", gen_prob=None)
-    runs = [run for p, rho_ts in split
-            for run in ((spec.params, rho_ts, ts_sim[p]), (spec.params, rho_ts, ps_sim))]
+    # each p's time-split run and its power-split arm at rho_ts, as the (params, x,
+    # config) its runner takes, so started() checks the whole grid before the first
+    # replication and submits the jobs the runners collect
+    runs = [((spec.params, p, replace(spec.sim, scheme="time_split", gen_prob=p)),
+             (spec.params, ts_equivalent_rho(p, spec.params.theta), ps_sim)) for p in spec.p_grid]
     lines = []
-    with started(runs):
-        for p, rho_ts in split:
-            ts = run_time_splitting(spec.params, p, ts_sim[p])
-            ps = run_power_splitting(spec.params, rho_ts, ps_sim)
+    with started([run for pair in runs for run in pair]):
+        for ts_run, ps_run in runs:
+            ts, ps = run_time_splitting(*ts_run), run_power_splitting(*ps_run)
+            p, rho_ts = ts_run[1], ps_run[1]
             _warn_censored(ts, f"time_split at p = {p!r}")
             _warn_censored(ps, f"power_split at rho = {rho_ts!r}")
             lines.append(_COMPARE_ROW % (p, rho_ts, weighted_sum(w, ps.dl_rate, ps.ul_rate),

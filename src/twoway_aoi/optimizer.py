@@ -83,12 +83,12 @@ class SweepPoint(NamedTuple):
 
 
 def _gradient(forms: ClosedForms, rho, w):
-    # squares as products, so that a float and an array run the same
-    # operations; an overflow, or a square that underflows to 0, raises
+    # squares as products, so a float and an array run the same operations; an overflow,
+    # a square that underflows to 0, or an infinite theta or y (inf / inf) raises
     theta, a, y = forms.theta, forms.slot.m1, forms.y
     rho = rho if isinstance(rho, np.ndarray) else np.float64(rho)
     try:
-        with np.errstate(all="ignore", over="raise", divide="raise"):
+        with np.errstate(all="raise", under="ignore"):
             r1, q, u = 1.0 - rho, 1.0 + theta - rho, rho + y
             down = 1.5 * theta / (r1 * r1) + 0.5 * theta / (q * q)
             up = -1.5 * a * y / (rho * rho) - 0.5 * a * y / (u * u)
@@ -98,10 +98,14 @@ def _gradient(forms: ClosedForms, rho, w):
 
 
 def _curvature(forms: ClosedForms, rho: float, w: float) -> float:
-    theta, a, y = forms.theta, forms.slot.m1, forms.y
-    down = 3.0 * theta / (1.0 - rho) ** 3 + theta / (1.0 + theta - rho) ** 3
-    up = a * y * (3.0 / rho ** 3 + 1.0 / (rho + y) ** 3)
-    return (1.0 - w) * down + w * up
+    theta, a, y, rho = forms.theta, forms.slot.m1, forms.y, np.float64(rho)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            down = 3.0 * theta / (1.0 - rho) ** 3 + theta / (1.0 + theta - rho) ** 3
+            up = a * y * (3.0 / rho ** 3 + 1.0 / (rho + y) ** 3)
+            return float((1.0 - w) * down + w * up)
+    except FloatingPointError:
+        raise OverflowError(f"the age curvature overflows at theta {theta!r}") from None
 
 
 def _cleared(forms: ClosedForms, rho: float, w: float) -> tuple[float, float]:

@@ -20,11 +20,12 @@ instantaneous buffer level is what makes the harvest-slot counts exactly
 independent Poisson(1/eta) draws; the buffer never goes negative under
 this rule (checked every run).
 
-Each replication streams its horizon in chunks of ``_CHUNK_BLOCKS``
-blocks. Every random stream is drawn chunk by chunk, and the running sums,
-packet anchors, threshold crossings, FCFS queue and age paths carry across
-chunk boundaries, so the report does not depend on the chunk size. A
-replication allocates its per-block work arrays once, a few chunk-sized
+Each replication streams its horizon in chunks of up to ``_CHUNK_BLOCKS``
+blocks, the warmup's and then the window's, so each chunk is tallied whole
+or not at all. Every random stream is drawn chunk by chunk, and the running
+sums, packet anchors, threshold crossings, FCFS queue and age paths carry
+across chunk boundaries, so the report does not depend on where chunks end.
+A replication allocates its per-block work arrays once, a few chunk-sized
 float arrays, and every chunk's draws, scalings and cumulative sums write
 into them, so its memory does not grow with the horizon. The exception is
 the transmit backlog, about one byte per block not yet stretched to its
@@ -416,7 +417,8 @@ def _transmit_schedule(path: np.ndarray, threshold: float, state: _Schedule):
 # per-replication engines
 
 # Every per-block, per-packet and per-transmission array lives for one chunk
-# of this many blocks, so a replication's memory does not grow with its
+# of at most this many blocks (the warmup's end also ends one, so a run has at
+# most one chunk more), and a replication's memory does not grow with its
 # horizon. With the work arrays reused, one reference-point replication
 # (power split, 4e6 blocks) took 0.312, 0.272, 0.260 and 0.255 s at 2**14,
 # 2**15, 2**16 and 2**17 blocks, and one time-split replication (p = 0.008,
@@ -425,11 +427,12 @@ def _transmit_schedule(path: np.ndarray, threshold: float, state: _Schedule):
 _CHUNK_BLOCKS = 1 << 16
 
 
-def _chunks(n: int):
-    """(lo, hi) of each chunk of blocks lo+1..hi of an n-block horizon."""
-    step = _CHUNK_BLOCKS
-    for lo in range(0, n, step):
-        yield lo, min(lo + step, n)
+def _chunks(cfg: SimConfig):
+    """(lo, hi, window) of each chunk of blocks lo+1..hi: the warmup's, then the window's."""
+    step, warmup = _CHUNK_BLOCKS, cfg.resolved_warmup()
+    for start, stop, window in ((0, warmup, False), (warmup, cfg.num_blocks, True)):
+        for lo in range(start, stop, step):
+            yield lo, min(lo + step, stop), window
 
 
 def _count(counts: np.ndarray, values) -> np.ndarray:
@@ -447,18 +450,18 @@ def _hist(counts: np.ndarray) -> dict[int, int]:
 class _Deliveries:
     """One direction's deliveries inside the window, tallied chunk by chunk."""
 
-    def __init__(self, warmup: int):
-        self.warmup = warmup
+    def __init__(self):
         self.age_sum = 0
         self.counts = np.zeros(0, dtype=np.int64)     # window deliveries by service time
         self.last = (0, 0)      # latest (delivery epoch, generation epoch); the age starts at 0
 
-    def add(self, blocks, gens, services, lo: int, hi: int):
-        """Packets generated at epochs ``gens``, completed in ``blocks`` within lo+1..hi
-        and so delivered at ``blocks + 1``; sums the age over epochs lo+1..hi."""
+    def add(self, blocks, gens, services, lo: int, hi: int, window: bool):
+        """Packets generated at epochs ``gens``, completed in ``blocks`` within lo+1..hi and
+        so delivered at ``blocks + 1``; a window chunk adds its age and services."""
         epochs = blocks + 1
-        self.age_sum += _age_sum(*_stretches(epochs, gens, max(self.warmup, lo), hi, self.last))
-        self.counts = _count(self.counts, services[blocks > self.warmup])
+        if window:
+            self.age_sum += _age_sum(*_stretches(epochs, gens, lo, hi, self.last))
+            self.counts = _count(self.counts, services)
         if len(epochs):
             self.last = (int(epochs[-1]), int(gens[-1]))
 
@@ -470,12 +473,12 @@ def _ps_downlink(params: SystemParams, rho: float, cfg: SimConfig, rep: int, pat
     """
     dl_stream = make_stream(cfg.seed, rep, "dl_gain")
     walk = _Walk(params.packet_nats)
-    for lo, hi in _chunks(cfg.num_blocks):
+    for lo, hi, window in _chunks(cfg):
         nats = path[1:hi - lo + 1]
         gain = sample_gain(dl_stream, params.channel_rate, out=nats)
         per_block_downlink_nats(params, rho, gain, cfg.snr_mode, out=nats)
         done, services = walk.completions(path[:hi - lo + 1])
-        yield lo, hi, (done, done - services, services), None
+        yield lo, hi, window, (done, done - services, services), None
 
 
 def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int, path):
@@ -498,7 +501,7 @@ def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int, path):
     services = np.empty(0, dtype=np.int64)      # data blocks of those packets and the next ones
     free = 0            # completion block of the latest delivered packet
     used = 0            # data blocks served so far
-    for lo, hi in _chunks(cfg.num_blocks):
+    for lo, hi, window in _chunks(cfg):
         c = hi - lo
         u = gen.random(out=path[1:c + 1])
         # a packet generated at epoch g arrives in block g + 1
@@ -524,7 +527,7 @@ def _ts_downlink(params: SystemParams, cfg: SimConfig, rep: int, path):
         dl = (done[:k], gens[:k], services[:k])
         free = int(done[k - 1]) if k else free
         gens, services = gens[k:], services[k:]
-        yield lo, hi, dl, busy
+        yield lo, hi, window, dl, busy
 
 
 def _fcfs(gens, services, free: int):
@@ -540,10 +543,10 @@ def _fcfs(gens, services, free: int):
 def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     """One replication: the scheme's downlink, the device's uplink, the summary.
 
-    The downlink of ``cfg.scheme`` yields, per chunk of blocks lo+1..hi,
-    ``(lo, hi, dl, busy)``: (completion blocks, generation epochs, service times)
-    and the mask of time-split data blocks (None under power split, which has
-    none). The device harvests at power fraction ``rho`` (power split) or 1
+    The downlink of ``cfg.scheme`` yields, per chunk of :func:`_chunks`,
+    ``(lo, hi, window, dl, busy)``: (completion blocks, generation epochs, service
+    times) and the mask of time-split data blocks (None under power split, which
+    has none). The device harvests at power fraction ``rho`` (power split) or 1
     (time split), and nothing in a data block; ``rho`` also fixes its transmit
     power and so the energy threshold. Returns the summary and the window's
     counts of downlink services, uplink services and harvest slots by length.
@@ -554,7 +557,6 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     uplink) and ``energy`` the harvests, each behind a slot for its carried sum.
     """
     n = cfg.num_blocks
-    warmup = cfg.resolved_warmup()
     lam = params.channel_rate
     size = min(n, _CHUNK_BLOCKS)
     nats, energy = np.empty(size + 1), np.empty(size + 1)
@@ -567,7 +569,7 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     ul_stream = make_stream(cfg.seed, rep, "ul_gain")
     schedule = _Schedule(n, size)
     walk = _Walk(params.packet_nats)        # over transmit blocks
-    dl, ul = _Deliveries(warmup), _Deliveries(warmup)
+    dl, ul = _Deliveries(), _Deliveries()
     slot_counts = np.zeros(0, dtype=np.int64)
     energy_blocks = 0
     tracing = cfg.trace_path is not None and rep == 0
@@ -577,7 +579,7 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
     with trace_file as trace, np.errstate(over="ignore"):
         if trace is not None:
             trace.write(_TRACE_HEADER)
-        for lo, hi, dl_chunk, busy in downlink:
+        for lo, hi, window, dl_chunk, busy in downlink:
             harvest = energy[1:hi - lo + 1]
             harvested_energy(params, power, sample_gain(hv_stream, lam, out=harvest), out=harvest)
             if busy is not None:
@@ -592,14 +594,13 @@ def _replication(params: SystemParams, rho: float, cfg: SimConfig, rep: int):
                 trace.writelines(_trace_lines(lo, hi, (dl, dl_chunk[:2]), (ul, ul_chunk[:2]),
                                               tx, energy_cum, schedule.sent - len(tx),
                                               threshold, busy))
-            dl.add(*dl_chunk, lo, hi)
-            ul.add(*ul_chunk, lo, hi)
-            gap_tx = tx[len(tx) - len(gaps):]      # sorted: those past the warmup come last
-            slot_counts = _count(slot_counts, gaps[np.searchsorted(gap_tx, warmup, "right"):])
-            window = max(hi - max(warmup, lo), 0)     # the chunk's blocks past the warmup
-            energy_blocks += window - (0 if busy is None else int(busy[hi - lo - window:].sum()))
+            dl.add(*dl_chunk, lo, hi, window)
+            ul.add(*ul_chunk, lo, hi, window)
+            if window:
+                slot_counts = _count(slot_counts, gaps)
+                energy_blocks += hi - lo - (0 if busy is None else int(busy.sum()))
 
-    span = n - warmup
+    span = n - cfg.resolved_warmup()
     dl_packets, ul_packets = int(dl.counts.sum()), int(ul.counts.sum())
     stats = ReplicationStats(
         mean_dl_aoi=dl.age_sum / span,
@@ -667,28 +668,29 @@ def run_time_splitting(params: SystemParams, gen_prob: float, config: SimConfig)
            "'time_split' for run_time_splitting")
     _check("gen_prob", gen_prob, gen_prob == config.gen_prob,
            f"config.gen_prob = {config.gen_prob!r}")
-    return _run(params, ts_equivalent_rho(gen_prob, params.theta), config)
+    return _run(params, gen_prob, config)
 
 
-def _check_run(params: SystemParams, rho: float, config: SimConfig) -> None:
-    """Raise ValueError unless ``config``'s scheme can run at split ``rho``. A power
-    split needs power both ways; a time split sends its downlink at full power, so it
-    may run at rho_ts = 1, but needs p inside its stable region."""
+def _split(params: SystemParams, x: float, config: SimConfig) -> float:
+    """The device's split rho in ``config``'s run at ``x``, checked: a power split's own,
+    which needs power both ways, or a time split's rho_ts at p = ``x``, which may be 1
+    (its downlink sends at full power) but needs p inside its stable region."""
+    rho = x if config.scheme == "power_split" else ts_equivalent_rho(x, params.theta)
     if config.scheme == "power_split":
         _check_split(rho, "power-split rho", interior=True)
     else:
-        _check_gen_prob(config.gen_prob, params.theta, interior=True)
+        _check_gen_prob(x, params.theta, interior=True)
     # nats, harvests and the threshold divide by lambda d**alpha or N0 d**alpha (monotone rounding)
     if min(params.channel_rate, params.noise_density) * params._d_alpha == 0.0:
         raise ArithmeticError(f"the path loss underflows to 0 at distance {params.distance!r}")
     if uplink_energy_threshold(params, rho) == 0.0:   # each block would bank unboundedly many
         raise ArithmeticError(f"the uplink energy threshold underflows to 0 at rho = {rho!r}")
+    return rho
 
 
-def _run(params: SystemParams, rho: float, config: SimConfig) -> SimReport:
-    """Aggregate the replications; ``rho`` fixes the device power (see :func:`_replication`)."""
-    jobs = [(params, rho, config, rep) for rep in range(config.replications)]
-    with started([(params, rho, config)]):
+def _run(params: SystemParams, x: float, config: SimConfig) -> SimReport:
+    """Aggregate the replications of ``config``'s run at ``x`` (see :func:`_split`)."""
+    with started([(params, x, config)]) as jobs:
         # a job no open pool holds is computed here
         outputs = [_pending[job].pop().result() if _pending.get(job) else _replication(*job)
                    for job in jobs]
@@ -702,28 +704,26 @@ _pending: dict = {}
 
 @contextmanager
 def started(runs):
-    """Submit every replication of ``runs``, (params, rho, config) triples as
-    the runners pass them to :func:`_run`, to one pool of forked workers.
+    """Submit every replication of ``runs``, (params, x, config) triples as the
+    runners take them, to one pool of forked workers; the block gets their jobs.
 
-    Each run is checked (:func:`_check_run`) before any replication starts. A
+    Each run is checked (:func:`_split`) before any replication starts. A
     run inside the block collects its replications from the pool. No pool starts
     for a lone job, on one CPU, in a daemon process (a multiprocessing.Pool worker
     may not start children) or inside an open block. On exit the pool cancels
     what no run collected.
     """
-    for run in runs:
-        _check_run(*run)
-    jobs = [(params, rho, config, rep)
-            for params, rho, config in runs for rep in range(config.replications)]
+    runs = [(params, _split(params, x, config), config) for params, x, config in runs]
+    jobs = [(*run, rep) for run in runs for rep in range(run[2].replications)]
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     if workers < 2 or _pending:
-        yield
+        yield jobs
         return
     # imported here: a command that needs no pool should not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     if multiprocessing.current_process().daemon:
-        yield
+        yield jobs
         return
     # fork, not spawn: workers inherit the imported modules instead of
     # importing numpy again; the pool forks every worker before it starts
@@ -732,7 +732,7 @@ def started(runs):
     try:
         for job in jobs:
             _pending.setdefault(job, []).append(pool.submit(_replication, *job))
-        yield
+        yield jobs
     finally:
         pool.shutdown(cancel_futures=True)
         _pending.clear()

@@ -268,6 +268,8 @@ def _run_cli_process(argv):
     ["analytic", "--harvest-eff", "1e-300"],        # the harvest-slot mean squared
     ["optimize", "--harvest-eff", "1e-300"],
     ["optimize", "--w-grid", "0.5", "--packet-nats", "1e300"],   # the gradient
+    ["optimize", "--w-grid", "0,0.5,1", "--packet-nats", "1e308"],   # theta = inf
+    ["optimize", "--w-grid", "0,0.5,1", "--channel-rate", "1e308"],
 ])
 def test_closed_form_overflow_is_numerical_failure(argv):
     result = _run_cli_process(argv)

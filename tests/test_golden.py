@@ -10,8 +10,10 @@ from the reference point, both schemes, the exact SNR mode, several
 replications, a time-split walk that ends on the unfinished-packet
 sentinel, per-epoch trace dumps of both schemes, and runs of both schemes
 over two full default-size chunks and a short tail.
-Every case runs twice: at the default chunk size, which holds every other
-recorded horizon in one chunk, and at 97 blocks, which crosses many chunk
+Every case runs twice: at the default chunk size, where the warmup's end
+also ends a chunk, so that a shorter run takes one chunk for its warmup and
+one for its window (a trace dump, with no warmup, takes one) and a
+140,000-block run four, and at 97 blocks, which crosses many chunk
 boundaries.
 
 After an intended change of output, re-record the cases it touches with

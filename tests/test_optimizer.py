@@ -1,6 +1,7 @@
 """Gradient, curvature, and solver correctness against brute-force oracles."""
 
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -84,6 +85,23 @@ def test_second_derivative_downlink_value():
     # w = 0, theta = 27, rho = 0.5: 3*27/0.125 + 27/27.5^3
     want = 3 * 27 / 0.125 + 27 / 27.5**3
     assert aoi_second_derivative(REF, 0.5, 0.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("fields", [{"packet_nats": 1e308}, {"packet_nats": 1e300},
+                                    {"channel_rate": 1e308}])
+def test_derivatives_name_theta_where_they_overflow(monkeypatch, fields):
+    # theta or y infinite (inf / inf gives nan), or an intermediate that overflows
+    params = SystemParams(**fields)
+    theta = re.escape(repr(params.theta))
+    for derivative in (aoi_gradient, aoi_second_derivative):
+        with pytest.raises(OverflowError, match=rf"overflows at theta {theta}$"):
+            derivative(params, 0.5, 0.5)
+    # a sweep raises before its first Newton step
+    steps = []
+    monkeypatch.setattr(optimizer, "_cleared", lambda *args: steps.append(args))
+    with pytest.raises(OverflowError, match=rf"gradient overflows at theta {theta}$"):
+        sweep_w(params, [0.0, 0.5, 1.0])
+    assert steps == []
 
 
 def test_boundary_solutions():

@@ -951,6 +951,19 @@ def _outputs(run, params, x, cfg):
 # the last arrival cannot finish within the horizon (the unfinished-packet sentinel)
 @example(scheme="time_split", snr_mode="linear", packet_nats=100.0, load=0.03 * 28,
          num_blocks=300, warmup=0.0, seed=11)
+# warmups of 70 (a multiple of 7), 64 and num_blocks - 1 = 63 blocks
+@example(scheme="power_split", snr_mode="linear", packet_nats=5.0, load=0.5,
+         num_blocks=280, warmup=0.25, seed=5)
+@example(scheme="time_split", snr_mode="linear", packet_nats=5.0, load=0.5,
+         num_blocks=280, warmup=0.25, seed=5)
+@example(scheme="power_split", snr_mode="exact", packet_nats=5.0, load=0.5,
+         num_blocks=256, warmup=0.25, seed=6)
+@example(scheme="time_split", snr_mode="exact", packet_nats=5.0, load=0.5,
+         num_blocks=256, warmup=0.25, seed=6)
+@example(scheme="power_split", snr_mode="linear", packet_nats=5.0, load=0.5,
+         num_blocks=64, warmup=63 / 64, seed=7)
+@example(scheme="time_split", snr_mode="linear", packet_nats=5.0, load=0.5,
+         num_blocks=64, warmup=63 / 64, seed=7)
 def test_chunk_size_does_not_change_results(scheme, snr_mode, packet_nats, load,
                                             num_blocks, warmup, seed):
     params = SystemParams(packet_nats=packet_nats)
@@ -968,6 +981,20 @@ def test_chunk_size_does_not_change_results(scheme, snr_mode, packet_nats, load,
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_CHUNK_BLOCKS", chunk)
             assert _outputs(run, params, x, cfg) == whole, chunk
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, None], ids=["1", "7", "64", "n"])
+def test_chunks_tile_the_horizon_and_end_one_at_the_warmup(monkeypatch, size):
+    for n in range(1, 201):
+        monkeypatch.setattr(simulator, "_CHUNK_BLOCKS", size or n)
+        for warmup in range(n):
+            chunks = list(simulator._chunks(SimConfig(num_blocks=n, warmup_blocks=warmup)))
+            bounds = [(lo, hi) for lo, hi, _ in chunks]
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == n
+            assert all(1 <= hi - lo <= (size or n) for lo, hi in bounds)
+            assert not any(lo < warmup < hi for lo, hi in bounds)
+            assert [window for *_, window in chunks] == [lo >= warmup for lo, _ in bounds]
 
 
 def _peak_bytes(run, x, cfg):
