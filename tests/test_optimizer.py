@@ -430,6 +430,16 @@ def test_closed_forms_on_an_array_equal_the_per_float_calls(fields, rhos):
             list(col) for col in zip(*per_float)]
 
 
+def test_weighted_sum_per_float_matches_the_array_call():
+    # each (w, downlink, uplink) on Python floats gives a float with the bits of its lane in
+    # the elementwise call, at infinite, huge and zero ages and subnormal weights, and never warns
+    weights, ages = [0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53], [0.0, 2.0, 1e308, math.inf]
+    cases = [(w, dl, ul) for w in weights for dl in ages for ul in ages]
+    per_float = [weighted_sum(*case) for case in cases]
+    assert all(type(v) is float for v in per_float)
+    assert np.array(per_float).tobytes() == weighted_sum(*map(np.array, zip(*cases))).tobytes()
+
+
 def test_closed_forms_reject_rho_outside_the_unit_interval():
     forms = ClosedForms(REF)
     for bad in (-0.1, 1.5, float("nan")):

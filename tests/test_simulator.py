@@ -260,10 +260,13 @@ def test_sample_gain_statistics():
 
 
 @settings(max_examples=200, deadline=None)
-@given(lam=st.one_of(st.sampled_from([5e-324, 1e300]), st.floats(1e-300, 1e300)),
+@given(lam=st.one_of(st.sampled_from([5e-324, 1e300, np.finfo(float).max, math.inf]),
+                     st.floats(1e-300, 1e300)),
        size=st.integers(0, 50), seed=st.integers(0, 2**16))
 @example(lam=5e-324, size=50, seed=1)
 @example(lam=1e300, size=50, seed=1)
+@example(lam=np.finfo(float).max, size=50, seed=1)
+@example(lam=math.inf, size=50, seed=1)
 def test_sample_gain_in_place_matches_allocating_call(lam, size, seed):
     buf = np.full(size + 1, np.nan)
     with np.errstate(over="ignore"):    # -log1p(-u) / 5e-324 overflows for most draws
