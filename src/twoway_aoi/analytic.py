@@ -25,7 +25,6 @@ the test suite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,20 +73,6 @@ class AoiBreakdown:
     w: float
 
 
-def _quiet(fn):
-    """``fn`` under np.errstate(all="ignore"), but for a first argument of Python floats:
-    their arithmetic gives numpy's bits and never warns, and the state costs more."""
-    quiet, first = np.errstate(all="ignore")(fn), fn.__code__.co_varnames[0]
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        x = args[0] if args else kwargs[first]
-        floats = type(x) is float or type(x) is MomentPair and type(x.m1) is type(x.m2) is float
-        return (fn if floats else quiet)(*args, **kwargs)
-
-    return run
-
-
 def _shifted_poisson_log_pmf(load: float, j: int) -> float:
     # log of Pr{S = j} for S = 1 + Poisson(load); load > 0, j >= 1
     return (j - 1) * math.log(load) - load - math.lgamma(j)
@@ -112,7 +97,7 @@ def downlink_service_pmf(dl_load: float, j: int) -> float:
     return math.exp(_shifted_poisson_log_pmf(dl_load, int(j)))
 
 
-@_quiet
+@np.errstate(all="ignore")
 def downlink_service_moments(dl_load) -> MomentPair:
     """Moments of the shifted-Poisson block count: (1 + x, x^2 + 3x + 1)."""
     _check_load(dl_load)
@@ -120,7 +105,7 @@ def downlink_service_moments(dl_load) -> MomentPair:
     return MomentPair(1.0 + x, x * x + 3.0 * x + 1.0)
 
 
-@_quiet
+@np.errstate(all="ignore")
 def renewal_aoi(moments: MomentPair):
     """Average age of a zero-wait renewal system: m1 + 1/2 + m2/(2 m1)."""
     m1, m2 = moments
@@ -153,7 +138,7 @@ def harvest_slot_pmf(eta: float, j: int) -> float:
 def harvest_slot_moments(eta: float) -> MomentPair:
     """Moments of s = max(1, tau_H): (1/eta + e^(-1/eta), 1/eta^2 + 1/eta + e^(-1/eta))."""
     _check_eta(eta)
-    mu = 1.0 / float(eta)   # Python floats, so that _quiet skips the state for a float load
+    mu = 1.0 / float(eta)   # a Python float, so a float load gives float moments
     tail = math.exp(-mu)
     m2 = mu * mu + mu + tail
     if math.isinf(m2):
@@ -161,7 +146,7 @@ def harvest_slot_moments(eta: float) -> MomentPair:
     return MomentPair(mu + tail, m2)
 
 
-@_quiet
+@np.errstate(all="ignore")
 def _compound_moments(ul_load, slot: MomentPair) -> MomentPair:
     # the per-load part of uplink_service_moments; ``slot`` is the per-eta part
     count = downlink_service_moments(ul_load)
@@ -209,8 +194,6 @@ def weighted_sum(w, downlink, uplink):
     Works elementwise on numpy arrays.
     """
     _check_weight(w)
-    if type(w) is type(downlink) is type(uplink) is float:     # as in _quiet
-        return downlink if w == 0.0 else uplink if w == 1.0 else (1.0 - w) * downlink + w * uplink
     with np.errstate(all="ignore"):
         out = np.where(w == 0.0, downlink,
                        np.where(w == 1.0, uplink, (1.0 - w) * downlink + w * uplink))

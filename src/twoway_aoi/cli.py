@@ -322,6 +322,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = merge_spec(args)
+        if spec.sim.snr_mode == "exact" and args.command in ("analytic", "optimize"):
+            print(f"warning: {args.command} evaluates the closed forms at the linear (low-SNR) "
+                  "rate; snr_mode applies to simulate and compare only", file=sys.stderr)
         return _COMMANDS[args.command](spec)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,7 +115,7 @@ def _check(name: str, x, inside, rule: str) -> None:
     that nan fails it (``x > 0``, not ``not x <= 0``). A quantity that several
     functions take has its rule stated once, in the check named after it.
     """
-    if inside is not True and not (inside.all() if isinstance(inside, np.ndarray) else inside):
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise ValueError(f"{name} must be {rule}, got "
                          f"{np.asarray(x)[~np.asarray(inside)][0].item()!r}")
 
@@ -153,13 +153,10 @@ def split_loads(theta: float, y: float, rho):
     The rho-dependent half of :func:`derive_constants`, for callers that keep
     theta and y across many ratios. ``rho`` is a float or a numpy array.
     """
-    if isinstance(rho, np.ndarray):
-        with np.errstate(all="ignore"):
-            _check_split(rho)
-            return _unbounded(rho == 1.0, theta / (1.0 - rho)), _unbounded(rho == 0.0, y / rho)
-    theta, y, rho = float(theta), float(y), float(rho)   # numpy's quotients, and no warning
-    _check_split(rho)
-    return math.inf if rho == 1.0 else theta / (1.0 - rho), math.inf if rho == 0.0 else y / rho
+    rho = rho if isinstance(rho, np.ndarray) else np.float64(rho)
+    with np.errstate(all="ignore"):
+        _check_split(rho)
+        return _unbounded(rho == 1.0, theta / (1.0 - rho)), _unbounded(rho == 0.0, y / rho)
 
 
 def derive_constants(params: SystemParams, rho: float) -> DerivedLoads:

@@ -96,11 +96,10 @@ def sample_gain(stream: np.random.Generator, lam: float, size=None, out=None):
     """
     _check("lam", lam, lam > 0, "> 0")
     u = np.asarray(stream.random(size, out=out))
-    # -log1p(-u) / lam in place, one step at a time; 1 - random() lies in (0, 1]
+    # log1p(-u) / -lam in place, one step at a time; 1 - random() lies in (0, 1]
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    np.negative(u, out=u)
-    np.divide(u, lam, out=u)
+    np.divide(u, -lam, out=u)
     return u if size is not None or out is not None else float(u)
 
 

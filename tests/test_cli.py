@@ -334,6 +334,30 @@ def test_optimize_nonconvergence_is_numerical_failure(capsys):
     assert "converge" in err
 
 
+@pytest.mark.parametrize("command", ["analytic", "optimize"])
+def test_closed_form_commands_warn_that_they_ignore_the_exact_snr_mode(capsys, command):
+    # the closed forms take the linear rate: the exact mode changes only the header's echo
+    argv = [command, "--total-power", "100", "--packet-nats", "1e6", "--w-grid", "0,0.5,1"]
+    runs = {mode: run_cli([*argv, "--snr-mode", mode], capsys) for mode in ("exact", "linear")}
+    (code, out, err), (linear_code, linear_out, linear_err) = runs["exact"], runs["linear"]
+    assert code == linear_code == 0
+    assert out.replace("# snr_mode = exact\n", "# snr_mode = linear\n") == linear_out
+    assert "# snr_mode = exact\n" in out
+    assert err.count("\n") == 1 and err.startswith(f"warning: {command} ")
+    assert "linear (low-SNR) rate" in err and "simulate and compare only" in err
+    assert linear_err == ""
+
+
+def test_a_config_with_the_exact_snr_mode_serves_every_command(tmp_path, capsys):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("snr_mode = exact\nnum_blocks = 20000\n")
+    for command in ("analytic", "optimize", "simulate", "compare"):
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 0 and "# snr_mode = exact\n" in out
+        assert err.startswith(f"warning: {command} ") if command in ("analytic", "optimize") \
+            else err == ""
+
+
 # ---------------------------------------------------------------------------
 # compare
 
